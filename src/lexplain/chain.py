@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
 from importlib import resources
@@ -21,8 +21,6 @@ from .gateway import (
     CompletionClient,
     GatewayError,
     LlmConfig,
-    config_from_json,
-    config_to_json,
 )
 from .trace import TraceDocument
 
@@ -211,15 +209,7 @@ def run_repeated(
 
 
 def run_to_json(run: ChainRun) -> dict:
-    return {
-        "run_index": run.run_index,
-        "config": config_to_json(run.config),
-        "steps": [
-            {"prompt": s.prompt, "output": s.output, "latency": s.latency}
-            for s in run.steps
-        ],
-        "created_at": run.created_at,
-    }
+    return asdict(run)
 
 
 def run_from_json(data: dict) -> ChainRun:
@@ -231,7 +221,7 @@ def run_from_json(data: dict) -> ChainRun:
         raise ValueError(f"a chain run has 3 steps, found {len(steps)}")
     return ChainRun(
         run_index=data["run_index"],
-        config=config_from_json(data["config"]),
+        config=LlmConfig(**data["config"]),
         steps=steps,  # type: ignore[arg-type]
         created_at=data["created_at"],
     )

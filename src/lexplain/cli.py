@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .chain import build_translation_prompt, run_repeated, save_run
@@ -23,7 +23,6 @@ from .evaluation import (
     evaluate,
     report_to_json,
     stability,
-    stability_to_json,
 )
 from .gateway import (
     CompletionClient,
@@ -65,20 +64,21 @@ class RunConfig:
     llm: LlmConfig
 
 
-_CONFIG_KEYS = (
-    "kb",
-    "facts",
-    "sources",
-    "person",
-    "mock_dir",
-    "repetitions",
-    "out",
-    "model",
-    "temperature",
-    "max_tokens",
-    "base_url",
-    "timeout",
-)
+# Config-file keys and the JSON type of each value; lists hold strings.
+_CONFIG_TYPES = {
+    "kb": list,
+    "facts": str,
+    "sources": list,
+    "person": str,
+    "mock_dir": str,
+    "repetitions": int,
+    "out": str,
+    "model": str,
+    "temperature": (int, float),
+    "max_tokens": int,
+    "base_url": str,
+    "timeout": (int, float),
+}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -87,9 +87,17 @@ def _load_config_file(path: str | None) -> dict:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - set(_CONFIG_KEYS))
+    unknown = sorted(set(data) - set(_CONFIG_TYPES))
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in data.items():
+        items = value if isinstance(value, list) else ()
+        if (
+            not isinstance(value, _CONFIG_TYPES[key])
+            or isinstance(value, bool)
+            or not all(isinstance(item, str) for item in items)
+        ):
+            raise UsageError(f"config key {key} has a mistyped value: {value!r}")
     return data
 
 
@@ -122,7 +130,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         llm = LlmConfig(**llm_kwargs)
     except ValueError as exc:
         raise UsageError(str(exc))
-    repetitions = int(pick(getattr(args, "repetitions", None), "repetitions", 1))
+    repetitions = pick(getattr(args, "repetitions", None), "repetitions", 1)
     if repetitions < 1:
         raise UsageError("--repetitions must be >= 1")
     return RunConfig(
@@ -157,6 +165,10 @@ def _make_client(cfg: RunConfig, cycle: bool) -> CompletionClient:
     if cfg.mock_dir is not None:
         return mock_from_dir(cfg.mock_dir, cycle=cycle)
     return HttpCompletionClient()
+
+
+def _write_json(path: Path, data) -> None:
+    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -214,9 +226,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     report = evaluate(response.text, doc, TRANSLATION_SECTIONS)
     out = _out_dir(cfg)
     (out / "explanation.txt").write_text(response.text, encoding="utf-8")
-    (out / "explanation.report.json").write_text(
-        json.dumps(report_to_json(report), indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "explanation.report.json", report_to_json(report))
     print(out / "explanation.txt")
     print(out / "explanation.report.json")
     return EXIT_OK
@@ -255,10 +265,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             )
             reports_by_source[source_id].append(report)
             path = out / f"run_{record.run_index:03d}.{source_id}.report.json"
-            path.write_text(
-                json.dumps(report_to_json(report), indent=2) + "\n",
-                encoding="utf-8",
-            )
+            _write_json(path, report_to_json(report))
     summary: dict = {
         "runs_total": len(records),
         "runs_completed": sum(1 for r in records if r.ok),
@@ -267,12 +274,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     }
     for source_id, reports in reports_by_source.items():
         if len(reports) >= 2:
-            summary["stability"][source_id] = stability_to_json(
-                stability(reports)
-            )
-    (out / "stability.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-    )
+            summary["stability"][source_id] = asdict(stability(reports))
+    _write_json(out / "stability.json", summary)
     print(out / "stability.json")
     if not any(r.ok for r in records):
         print("all runs failed", file=sys.stderr)
@@ -284,11 +287,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     output_text = Path(args.output_file).read_text(encoding="utf-8")
     trace_doc = parse_trace(Path(args.trace_file).read_text(encoding="utf-8"))
     sections = tuple(args.sections) if args.sections else TRANSLATION_SECTIONS
-    report = evaluate(output_text, trace_doc, sections)
-    payload = json.dumps(report_to_json(report), indent=2)
-    print(payload)
+    data = report_to_json(evaluate(output_text, trace_doc, sections))
+    print(json.dumps(data, indent=2))
     if args.out is not None:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        _write_json(Path(args.out), data)
     return EXIT_OK
 
 
@@ -376,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DslError, KbError, TraceError, EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

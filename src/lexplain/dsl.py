@@ -82,10 +82,14 @@ class _TokenStream:
         self._pos = 0
 
     def peek(self) -> _Token:
-        return self._tokens[self._pos]
+        try:
+            return self._tokens[self._pos]
+        except IndexError:
+            last = self._tokens[-1]
+            raise DslError("unexpected end of line", last.line, last.col) from None
 
     def next(self, expected: str | None = None) -> _Token:
-        token = self._tokens[self._pos]
+        token = self.peek()
         if expected is not None and token.kind != expected:
             raise DslError(
                 f"expected {expected}, found {token.value!r}",

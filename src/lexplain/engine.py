@@ -29,7 +29,7 @@ RULE = "RULE"
 FACT = "FACT"
 NAF = "NAF"
 
-DEFAULT_DEPTH_LIMIT = 64
+DEPTH_LIMIT = 64
 
 _Value = Union[str, Variable]
 _Bindings = Mapping[str, _Value]
@@ -237,10 +237,9 @@ def _resolve_tree(tree: ProofTree, bindings: _Bindings) -> ProofTree:
 
 
 class _Context:
-    def __init__(self, kb: KnowledgeBase, facts: CaseFacts, limit: int):
+    def __init__(self, kb: KnowledgeBase, facts: CaseFacts):
         self.kb = kb
         self.facts = facts
-        self.limit = limit
         self._fresh = 0
 
     def rename(self, clause: Clause) -> tuple[Term, tuple[Literal, ...]]:
@@ -276,9 +275,9 @@ def _solve_term(
         unified = _unify_terms(target, head, bindings)
         if unified is None:
             continue
-        if depth + 1 > ctx.limit:
+        if depth + 1 > DEPTH_LIMIT:
             raise DepthLimitError(
-                format_term(_resolve_term(target, unified)), ctx.limit
+                format_term(_resolve_term(target, unified)), DEPTH_LIMIT
             )
         for final, children in _solve_body(body, unified, ctx, depth + 1):
             yield final, ProofTree(
@@ -313,19 +312,16 @@ def _solve_body(
 
 
 def solve(
-    goal: Term,
-    kb: KnowledgeBase,
-    facts: CaseFacts,
-    depth_limit: int = DEFAULT_DEPTH_LIMIT,
+    goal: Term, kb: KnowledgeBase, facts: CaseFacts
 ) -> list[tuple[Substitution, ProofTree]]:
     """Prove a goal, returning one (answer, proof tree) per derivation.
 
     Results are in deterministic order: facts in canonical order first,
     then clauses in textual order, body literals left to right. Raises
     NafNonGroundError if negation is reached with unbound variables and
-    DepthLimitError past ``depth_limit`` rule applications.
+    DepthLimitError past ``DEPTH_LIMIT`` rule applications.
     """
-    ctx = _Context(kb, facts, depth_limit)
+    ctx = _Context(kb, facts)
     results: list[tuple[Substitution, ProofTree]] = []
     for bindings, tree in _solve_term(goal, {}, ctx, 0):
         answer: dict[str, str] = {}
@@ -337,43 +333,40 @@ def solve(
     return results
 
 
+def _first_proofs(
+    goal: Term, kb: KnowledgeBase, facts: CaseFacts
+) -> tuple[ProofTree, ...]:
+    """The first proof of each distinct conclusion of goal, in solve order."""
+    first: dict[Term, ProofTree] = {}
+    for _, tree in solve(goal, kb, facts):
+        first.setdefault(tree.literal.term, tree)
+    return tuple(first.values())
+
+
 def _attachments(
     functor: str,
     article: str,
     person: str,
     kb: KnowledgeBase,
     facts: CaseFacts,
-    depth_limit: int,
 ) -> tuple[ProofTree, ...]:
     goal = Term(
         functor,
         (Variable("A"), article, person, Variable("K"), Variable("V")),
     )
-    seen: set[Term] = set()
-    out: list[ProofTree] = []
-    for _, tree in solve(goal, kb, facts, depth_limit):
-        conclusion = tree.literal.term
-        if conclusion in seen:
-            continue
-        seen.add(conclusion)
-        out.append(tree)
-    return tuple(out)
+    return _first_proofs(goal, kb, facts)
 
 
 def derive_rights(
-    person: str,
-    source_id: str,
-    kb: KnowledgeBase,
-    facts: CaseFacts,
-    depth_limit: int = DEFAULT_DEPTH_LIMIT,
+    person: str, source_id: str, kb: KnowledgeBase, facts: CaseFacts
 ) -> list[RightsBundle]:
     """Derive every primary right of a person under one legal source,
     bundling the auxiliary rights and right properties attached to it."""
     if not is_identifier(person):
         raise EngineError(f"person must be an atom, got {person!r}")
-    if source_id not in kb.source_ids:
+    source = next((s for s in kb.sources if s.id == source_id), None)
+    if source is None:
         raise UnknownSourceError(source_id)
-    source = next(s for s in kb.sources if s.id == source_id)
     scoped = kb.restricted_to(source_id)
     goal = Term(
         "has_right",
@@ -386,12 +379,8 @@ def derive_rights(
         ),
     )
     bundles: list[RightsBundle] = []
-    seen: set[Term] = set()
-    for _, tree in solve(goal, scoped, facts, depth_limit):
+    for tree in _first_proofs(goal, scoped, facts):
         conclusion = tree.literal.term
-        if conclusion in seen:
-            continue
-        seen.add(conclusion)
         article = conclusion.args[2]
         option = conclusion.args[4]
         if not isinstance(article, str) or not isinstance(option, str):
@@ -402,12 +391,10 @@ def derive_rights(
                 primary=tree,
                 option=option,
                 auxiliaries=_attachments(
-                    "auxiliary_right", article, person, scoped, facts,
-                    depth_limit,
+                    "auxiliary_right", article, person, scoped, facts
                 ),
                 properties=_attachments(
-                    "right_property", article, person, scoped, facts,
-                    depth_limit,
+                    "right_property", article, person, scoped, facts
                 ),
             )
         )

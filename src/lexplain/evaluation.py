@@ -352,13 +352,3 @@ def report_from_json(data: dict) -> EvaluationReport:
         ),
     )
 
-
-def stability_to_json(result: StabilityResult) -> dict:
-    return {
-        "runs": result.runs,
-        "form_pass_rate": result.form_pass_rate,
-        "coverage_min": result.coverage_min,
-        "coverage_mean": result.coverage_mean,
-        "coverage_max": result.coverage_max,
-        "hallucinated_runs": result.hallucinated_runs,
-    }

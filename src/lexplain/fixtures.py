@@ -8,7 +8,7 @@ from importlib import resources
 from pathlib import Path
 
 from .dsl import parse_facts, parse_rules
-from .kb import CaseFacts, KnowledgeBase, merge
+from .kb import CaseFacts, KnowledgeBase
 
 
 def _resource(name: str):
@@ -41,10 +41,6 @@ def eu_kb() -> KnowledgeBase:
 
 def pl_kb() -> KnowledgeBase:
     return parse_rules(pl_rules_text())
-
-
-def combined_kb() -> KnowledgeBase:
-    return merge([eu_kb(), pl_kb()])
 
 
 def mario_facts_text() -> str:

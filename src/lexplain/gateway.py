@@ -21,6 +21,8 @@ import requests
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1/chat/completions"
 API_KEY_ENV = "LLM_API_KEY"
+MAX_RETRIES = 3
+BACKOFF = 0.5
 
 _RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 
@@ -83,20 +85,6 @@ class LlmConfig:
             raise ValueError("timeout must be positive")
 
 
-def config_to_json(config: LlmConfig) -> dict:
-    return {
-        "model_id": config.model_id,
-        "temperature": config.temperature,
-        "max_tokens": config.max_tokens,
-        "base_url": config.base_url,
-        "timeout": config.timeout,
-    }
-
-
-def config_from_json(data: dict) -> LlmConfig:
-    return LlmConfig(**data)
-
-
 @dataclass(frozen=True)
 class LlmResponse:
     text: str
@@ -123,7 +111,7 @@ def _require_prompt(prompt: str) -> None:
 class HttpCompletionClient:
     """Chat-completion over HTTP with bounded retries.
 
-    Retries (up to ``max_retries`` extra attempts, exponential backoff)
+    Retries (up to ``MAX_RETRIES`` extra attempts, exponential backoff)
     only on retryable failures; completions at temperature 0 are treated
     as idempotent. Safe for concurrent ``complete`` calls.
     """
@@ -131,13 +119,9 @@ class HttpCompletionClient:
     def __init__(
         self,
         session: requests.Session | None = None,
-        max_retries: int = 3,
-        backoff: float = 0.5,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self._session = session or requests.Session()
-        self._max_retries = max_retries
-        self._backoff = backoff
         self._sleep = sleep
 
     def complete(self, prompt: str, config: LlmConfig) -> LlmResponse:
@@ -152,9 +136,9 @@ class HttpCompletionClient:
             try:
                 return self._request(prompt, config, api_key)
             except GatewayError as exc:
-                if not exc.retryable or attempt >= self._max_retries:
+                if not exc.retryable or attempt >= MAX_RETRIES:
                     raise
-                self._sleep(self._backoff * (2 ** attempt))
+                self._sleep(BACKOFF * (2 ** attempt))
                 attempt += 1
 
     def _request(
@@ -216,15 +200,9 @@ class MockCompletionClient:
     serialized internally, so concurrent ``complete`` calls are safe.
     """
 
-    def __init__(
-        self,
-        responses: Sequence[str],
-        cycle: bool = False,
-        model_id: str = "mock",
-    ):
+    def __init__(self, responses: Sequence[str], cycle: bool = False):
         self._responses = list(responses)
         self._cycle = cycle
-        self._model_id = model_id
         self._cursor = 0
         self._lock = threading.Lock()
         self._prompts: list[str] = []
@@ -256,7 +234,7 @@ class MockCompletionClient:
             self._prompts.append(prompt)
         if not text:
             raise BackendError("mock response file is empty")
-        return LlmResponse(text=text, model_id=self._model_id, latency=0.0)
+        return LlmResponse(text=text, model_id="mock", latency=0.0)
 
 
 def mock_from_dir(path: str | Path, cycle: bool = False) -> MockCompletionClient:
@@ -265,6 +243,6 @@ def mock_from_dir(path: str | Path, cycle: bool = False) -> MockCompletionClient
     try:
         files = sorted(p for p in directory.iterdir() if p.is_file())
         responses = [p.read_text(encoding="utf-8") for p in files]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GatewayError(f"unreadable mock directory {directory}: {exc}")
     return MockCompletionClient(responses, cycle=cycle)

@@ -171,10 +171,6 @@ class Clause:
             raise KbError(f"clause for {self.article} has an empty title")
         _check_safety(self)
 
-    @property
-    def is_fact(self) -> bool:
-        return not self.body and self.head.is_ground
-
     def variables(self) -> set[str]:
         names = self.head.variables()
         for lit in self.body:
@@ -236,21 +232,12 @@ class KnowledgeBase:
 
     @property
     def sources(self) -> tuple[LegalSource, ...]:
-        out: list[LegalSource] = []
-        for clause in self.clauses:
-            if clause.source not in out:
-                out.append(clause.source)
-        return tuple(out)
-
-    @property
-    def source_ids(self) -> set[str]:
-        return {c.source.id for c in self.clauses}
-
-    def clauses_for_source(self, source_id: str) -> tuple[Clause, ...]:
-        return tuple(c for c in self.clauses if c.source.id == source_id)
+        return tuple(dict.fromkeys(c.source for c in self.clauses))
 
     def restricted_to(self, source_id: str) -> "KnowledgeBase":
-        return KnowledgeBase(self.clauses_for_source(source_id))
+        return KnowledgeBase(
+            tuple(c for c in self.clauses if c.source.id == source_id)
+        )
 
     def constants(self) -> set[str]:
         out: set[str] = set()
@@ -295,9 +282,6 @@ class CaseFacts:
 
     def with_fact(self, fact: Term) -> "CaseFacts":
         return CaseFacts(self.facts | {fact})
-
-    def without_fact(self, fact: Term) -> "CaseFacts":
-        return CaseFacts(self.facts - {fact})
 
     def constants(self) -> set[str]:
         out: set[str] = set()

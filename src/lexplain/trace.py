@@ -454,10 +454,10 @@ def parse_trace(text: str) -> TraceDocument:
     )
     rendered = render_document(bundle)
     if rendered != text:
+        line = _first_divergence(rendered, text)
         raise TraceParseError(
-            "document does not round-trip; first divergence at line "
-            f"{_first_divergence(rendered, text)}",
-            _first_divergence(rendered, text),
+            f"document does not round-trip; first divergence at line {line}",
+            line,
         )
     return TraceDocument(text, bundle)
 

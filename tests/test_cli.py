@@ -317,3 +317,79 @@ def test_mock_dir_and_base_url_mutually_exclusive(workdir, capsys):
     )
     assert status == EXIT_USAGE
     assert "mutually exclusive" in capsys.readouterr().err
+
+
+def test_compare_pins_persisted_json_key_order(workdir):
+    # existing tests compare parsed dicts, which ignore key order
+    out = workdir / "out"
+    status = main(
+        ["compare", *_common(workdir, "eu.rules", "pl.rules"),
+         "--source", "directive_2010_64", "--source", "directive_2010_64_pl",
+         "--mock-dir", str(workdir / "mock"),
+         "--repetitions", "2", "--out", str(out)]
+    )
+    assert status == EXIT_OK
+    for path in sorted(out.glob("run_???.json")):
+        run = json.loads(path.read_text(encoding="utf-8"))
+        assert list(run) == ["run_index", "config", "steps", "created_at"]
+        assert list(run["config"]) == [
+            "model_id", "temperature", "max_tokens", "base_url", "timeout",
+        ]
+        assert [list(step) for step in run["steps"]] == [
+            ["prompt", "output", "latency"]
+        ] * 3
+    summary = json.loads((out / "stability.json").read_text(encoding="utf-8"))
+    assert list(summary) == ["runs_total", "runs_completed", "failures", "stability"]
+    assert list(summary["stability"]) == [
+        "directive_2010_64", "directive_2010_64_pl",
+    ]
+    for block in summary["stability"].values():
+        assert list(block) == [
+            "runs", "form_pass_rate", "coverage_min", "coverage_mean",
+            "coverage_max", "hallucinated_runs",
+        ]
+
+
+UNDECODABLE = b"p(\xff).\n"
+EXPLAIN_EU = ["explain", "--kb", "eu.rules", "--facts", "mario.facts",
+              "--person", "mario", "--source", "directive_2010_64"]
+
+
+@pytest.mark.parametrize(
+    "files, argv, expected",
+    [
+        ({"bad.rules": UNDECODABLE},
+         ["solve", "--kb", "bad.rules", "--facts", "mario.facts",
+          "--person", "mario"], EXIT_DATA),
+        ({"bad.facts": UNDECODABLE},
+         ["solve", "--kb", "eu.rules", "--facts", "bad.facts",
+          "--person", "mario"], EXIT_DATA),
+        ({"bad.facts": b"person_document(mario, charge"},
+         ["solve", "--kb", "eu.rules", "--facts", "bad.facts",
+          "--person", "mario"], EXIT_DATA),
+        ({"bad.trace": UNDECODABLE},
+         ["evaluate", "mario.facts", "bad.trace"], EXIT_DATA),
+        ({"badmock/001.txt": UNDECODABLE},
+         [*EXPLAIN_EU, "--mock-dir", "badmock"], EXIT_GATEWAY),
+        ({"c.json": b'{"repetitions": "many"}'},
+         ["compare", "--config", "c.json"], EXIT_USAGE),
+        ({"c.json": b'{"temperature": "hot"}'},
+         [*EXPLAIN_EU, "--mock-dir", "mock", "--config", "c.json"],
+         EXIT_USAGE),
+        ({"c.json": b'{"kb": 5}'},
+         ["solve", "--facts", "mario.facts", "--person", "mario",
+          "--config", "c.json"], EXIT_USAGE),
+    ],
+    ids=["kb-utf8", "facts-utf8", "facts-truncated", "trace-utf8",
+         "mock-utf8", "config-repetitions", "config-temperature",
+         "config-kb"],
+)
+def test_bad_input_maps_to_documented_exit_code(
+    workdir, monkeypatch, capsys, files, argv, expected
+):
+    monkeypatch.chdir(workdir)
+    for name, data in files.items():
+        (workdir / name).parent.mkdir(exist_ok=True)
+        (workdir / name).write_bytes(data)
+    assert main(argv) == expected
+    assert "error" in capsys.readouterr().err

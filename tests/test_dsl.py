@@ -147,6 +147,15 @@ def test_parse_facts_rejects_rules():
         parse_facts("p(a) :- q(a).\n")
 
 
+@pytest.mark.parametrize("text", ["foo(a)", "foo(a", "foo(a,", "foo("])
+def test_parse_facts_truncated_fact_is_located(text):
+    with pytest.raises(DslError) as err:
+        parse_facts(text)
+    assert "unexpected end of line" in str(err.value)
+    # the error points at the last token, which is one character wide here
+    assert (err.value.line, err.value.col) == (1, len(text))
+
+
 def test_parse_facts_duplicates_collapse():
     facts = parse_facts("p(a).\np(a).\n")
     assert len(facts) == 1
