@@ -227,11 +227,14 @@ def run_from_json(data: dict) -> ChainRun:
     )
 
 
+def write_json(path: Path, data) -> None:
+    """Write data as 2-space-indented JSON with a trailing newline."""
+    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+
+
 def save_run(run: ChainRun, directory: str | Path) -> Path:
     path = Path(directory) / f"run_{run.run_index:03d}.json"
-    path.write_text(
-        json.dumps(run_to_json(run), indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path, run_to_json(run))
     return path
 
 

@@ -15,7 +15,12 @@ import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .chain import build_translation_prompt, run_repeated, save_run
+from .chain import (
+    build_translation_prompt,
+    run_repeated,
+    save_run,
+    write_json,
+)
 from .dsl import DslError, parse_facts, parse_rules
 from .engine import EngineError, derive_rights
 from .evaluation import (
@@ -167,10 +172,6 @@ def _make_client(cfg: RunConfig, cycle: bool) -> CompletionClient:
     return HttpCompletionClient()
 
 
-def _write_json(path: Path, data) -> None:
-    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
-
-
 def _out_dir(cfg: RunConfig) -> Path:
     path = Path(cfg.output_dir)
     path.mkdir(parents=True, exist_ok=True)
@@ -226,7 +227,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     report = evaluate(response.text, doc, TRANSLATION_SECTIONS)
     out = _out_dir(cfg)
     (out / "explanation.txt").write_text(response.text, encoding="utf-8")
-    _write_json(out / "explanation.report.json", report_to_json(report))
+    write_json(out / "explanation.report.json", report_to_json(report))
     print(out / "explanation.txt")
     print(out / "explanation.report.json")
     return EXIT_OK
@@ -265,7 +266,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             )
             reports_by_source[source_id].append(report)
             path = out / f"run_{record.run_index:03d}.{source_id}.report.json"
-            _write_json(path, report_to_json(report))
+            write_json(path, report_to_json(report))
     summary: dict = {
         "runs_total": len(records),
         "runs_completed": sum(1 for r in records if r.ok),
@@ -275,7 +276,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     for source_id, reports in reports_by_source.items():
         if len(reports) >= 2:
             summary["stability"][source_id] = asdict(stability(reports))
-    _write_json(out / "stability.json", summary)
+    write_json(out / "stability.json", summary)
     print(out / "stability.json")
     if not any(r.ok for r in records):
         print("all runs failed", file=sys.stderr)
@@ -290,7 +291,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     data = report_to_json(evaluate(output_text, trace_doc, sections))
     print(json.dumps(data, indent=2))
     if args.out is not None:
-        _write_json(Path(args.out), data)
+        write_json(Path(args.out), data)
     return EXIT_OK
 
 

@@ -1,9 +1,12 @@
 """SLD resolution with negation as failure, producing proof trees.
 
 The solver is deterministic: facts are tried in canonical order, clauses in
-textual order, body literals left to right. ``ground_oracle`` computes the
-same semantics bottom-up (stratified least fixpoint) and exists purely as an
-independent cross-check on the resolution engine.
+textual order, body literals left to right. Each goal looks up only the
+facts and clauses that can match it (by predicate, and facts also by a
+constant first argument), which leaves that order unchanged.
+``ground_oracle`` computes the same semantics bottom-up (stratified least
+fixpoint) and exists purely as an independent cross-check on the
+resolution engine.
 """
 
 from __future__ import annotations
@@ -266,11 +269,11 @@ def _solve_term(
     goal: Term, bindings: dict, ctx: _Context, depth: int
 ) -> Iterator[tuple[dict, ProofTree]]:
     target = _resolve_term(goal, bindings)
-    for fact in ctx.facts.ordered:
+    for fact in ctx.facts.candidates(target):
         unified = _unify_terms(target, fact, bindings)
         if unified is not None:
             yield unified, ProofTree(Literal(fact), FACT, None)
-    for clause in ctx.kb.clauses:
+    for clause in ctx.kb.clauses_for(target.predicate):
         head, body = ctx.rename(clause)
         unified = _unify_terms(target, head, bindings)
         if unified is None:

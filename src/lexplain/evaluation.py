@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from statistics import fmean
 
-from .trace import TraceDocument, extract_terms, parse_term_at
+from .trace import TraceDocument, extract_terms, parse_term_cached
 
 TRANSLATION_SECTIONS = (
     "Summary",
@@ -231,11 +231,12 @@ def scan_output_terms(text: str) -> list[str]:
     text to the output can then only ever grow the candidate list.
     """
     found: list[str] = []
+    memo: dict[int, tuple[str, int] | None] = {}
     for match in _CANDIDATE_RE.finditer(text):
         start = match.start()
         if start > 0 and (text[start - 1].isalnum() or text[start - 1] == "_"):
             continue
-        parsed = parse_term_at(text, start)
+        parsed = parse_term_cached(text, start, memo)
         if parsed is not None:
             found.append(parsed[0])
     return found

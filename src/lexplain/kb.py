@@ -204,7 +204,9 @@ class KnowledgeBase:
         strata = compute_strata(self.clauses)
         titles: dict[str, str] = {}
         labels: dict[str, str] = {}
+        by_head: dict[tuple[str, int], list[Clause]] = {}
         for clause in self.clauses:
+            by_head.setdefault(clause.head.predicate, []).append(clause)
             seen = titles.get(clause.article)
             if seen is not None and seen != clause.title:
                 raise KbError(
@@ -221,6 +223,13 @@ class KnowledgeBase:
             labels[clause.source.id] = clause.source.jurisdiction_label
         object.__setattr__(self, "_strata", strata)
         object.__setattr__(self, "_titles", titles)
+        object.__setattr__(
+            self, "_by_head", {p: tuple(cs) for p, cs in by_head.items()}
+        )
+        sources = tuple(dict.fromkeys(c.source for c in self.clauses))
+        object.__setattr__(self, "_sources", sources)
+        # Scoped KBs by source id, filled on first use by restricted_to.
+        object.__setattr__(self, "_scoped", {})
 
     @property
     def article_titles(self) -> dict[str, str]:
@@ -232,12 +241,26 @@ class KnowledgeBase:
 
     @property
     def sources(self) -> tuple[LegalSource, ...]:
-        return tuple(dict.fromkeys(c.source for c in self.clauses))
+        return self._sources  # type: ignore[attr-defined]
+
+    def clauses_for(self, predicate: tuple[str, int]) -> tuple[Clause, ...]:
+        """The clauses whose head has this predicate, in textual order."""
+        return self._by_head.get(predicate, ())  # type: ignore[attr-defined]
 
     def restricted_to(self, source_id: str) -> "KnowledgeBase":
-        return KnowledgeBase(
-            tuple(c for c in self.clauses if c.source.id == source_id)
-        )
+        """The KB of one source's clauses, the same object on every call."""
+        memo = self._scoped  # type: ignore[attr-defined]
+        scoped = memo.get(source_id)
+        if scoped is None:
+            # Threads racing here may each build the KB; setdefault keeps
+            # the first, so every caller gets the same object.
+            scoped = memo.setdefault(
+                source_id,
+                KnowledgeBase(
+                    tuple(c for c in self.clauses if c.source.id == source_id)
+                ),
+            )
+        return scoped
 
     def constants(self) -> set[str]:
         out: set[str] = set()
@@ -267,12 +290,34 @@ class CaseFacts:
             if not fact.is_ground:
                 raise KbError(f"non-ground fact: {fact}")
         ordered = tuple(sorted(self.facts, key=format_term))
+        # Keys (functor, arity) and (functor, arity, first argument).
+        index: dict[tuple, list[Term]] = {}
+        for fact in ordered:
+            index.setdefault(fact.predicate, []).append(fact)
+            if fact.args:
+                key = (fact.functor, len(fact.args), fact.args[0])
+                index.setdefault(key, []).append(fact)
         object.__setattr__(self, "_ordered", ordered)
+        object.__setattr__(
+            self, "_index", {k: tuple(v) for k, v in index.items()}
+        )
 
     @property
     def ordered(self) -> tuple[Term, ...]:
         """Facts in canonical (string) order, for deterministic search."""
         return self._ordered  # type: ignore[attr-defined]
+
+    def candidates(self, goal: Term) -> tuple[Term, ...]:
+        """The facts that can unify with goal, in canonical order.
+
+        They share goal's predicate and, when goal's first argument is a
+        constant, that first argument too.
+        """
+        if goal.args and isinstance(goal.args[0], str):
+            key: tuple = (goal.functor, len(goal.args), goal.args[0])
+        else:
+            key = (goal.functor, len(goal.args))
+        return self._index.get(key, ())  # type: ignore[attr-defined]
 
     def __contains__(self, term: Term) -> bool:
         return term in self.facts

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .engine import FACT, NAF, RULE, ProofTree, RightsBundle
 from .kb import KnowledgeBase, format_literal, format_term, is_identifier
@@ -23,6 +24,7 @@ FACT_LEAF = "FACT_LEAF"
 NAF_LEAF = "NAF_LEAF"
 
 _ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
+_SPACE = " \t\n\r"
 
 
 class TraceError(ValueError):
@@ -104,40 +106,64 @@ def parse_term_at(text: str, pos: int) -> tuple[str, int] | None:
     Returns (canonical text, end position) or None. The functor must be
     immediately followed by ``(``; whitespace is tolerated around commas
     and canonicalized away. Atoms only: this is the ground trace fragment.
+    An argument is a nested term exactly when its atom is followed by
+    ``(``. Nesting depth is bounded only by memory.
     """
+    return parse_term_cached(text, pos, {})
+
+
+def parse_term_cached(
+    text: str, pos: int, memo: dict[int, tuple[str, int] | None]
+) -> tuple[str, int] | None:
+    """``parse_term_at`` that shares results through memo.
+
+    memo maps a start position to its parse result. This call looks pos
+    up first, then records every term it opens: the result of each one
+    it closes, and None for those still open when it fails. Parsing from
+    a position does not depend on the text before it, so a scan over all
+    start positions parses each term once.
+    """
+    if pos in memo:
+        return memo[pos]
     match = _ATOM_RE.match(text, pos)
     if not match:
         return None
-    functor = match.group(0)
     cursor = match.end()
     if cursor >= len(text) or text[cursor] != "(":
         return None
     cursor += 1
-    args: list[str] = []
+    # One (start, functor, arguments so far) frame per open term.
+    stack: list[tuple[int, str, list[str]]] = [(pos, match.group(0), [])]
     while True:
-        while cursor < len(text) and text[cursor] in " \t\n\r":
+        while cursor < len(text) and text[cursor] in _SPACE:
             cursor += 1
-        nested = parse_term_at(text, cursor)
-        if nested is not None:
-            arg, cursor = nested
-        else:
-            arg_match = _ATOM_RE.match(text, cursor)
-            if not arg_match:
-                return None
-            arg = arg_match.group(0)
-            cursor = arg_match.end()
-        args.append(arg)
-        while cursor < len(text) and text[cursor] in " \t\n\r":
-            cursor += 1
-        if cursor >= len(text):
-            return None
-        if text[cursor] == ")":
-            cursor += 1
+        match = _ATOM_RE.match(text, cursor)
+        if not match:
             break
-        if text[cursor] != ",":
-            return None
-        cursor += 1
-    return f"{functor}({', '.join(args)})", cursor
+        cursor = match.end()
+        if cursor < len(text) and text[cursor] == "(":
+            stack.append((match.start(), match.group(0), []))
+            cursor += 1
+            continue
+        arg = match.group(0)
+        while True:
+            stack[-1][2].append(arg)
+            while cursor < len(text) and text[cursor] in _SPACE:
+                cursor += 1
+            delimiter = text[cursor : cursor + 1]
+            cursor += 1
+            if delimiter != ")":
+                break
+            start, functor, args = stack.pop()
+            arg = f"{functor}({', '.join(args)})"
+            memo[start] = (arg, cursor)
+            if not stack:
+                return memo[start]
+        if delimiter != ",":
+            break
+    for start, _, _ in stack:
+        memo[start] = None
+    return None
 
 
 def canonical_term_text(text: str) -> str:
@@ -159,13 +185,21 @@ def _check_title(title: str) -> str:
     return title
 
 
-def _node_lines(node: TraceNode, depth: int, out: list[str]) -> None:
-    if node.term != canonical_term_text(node.term):
-        raise TraceError(f"non-canonical term text: {node.term!r}")
-    suffix = " [FACT]" if node.kind == FACT else ""
-    out.append(f"{INDENT * depth}{node.term}{suffix}")
-    for child in node.children:
-        _node_lines(child, depth + 1, out)
+def _preorder(root: TraceNode) -> Iterator[tuple[TraceNode, int]]:
+    """Each node of the tree and its depth, in document order."""
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        yield node, depth
+        stack.extend((child, depth + 1) for child in reversed(node.children))
+
+
+def _node_lines(root: TraceNode, out: list[str]) -> None:
+    for node, depth in _preorder(root):
+        if node.term != canonical_term_text(node.term):
+            raise TraceError(f"non-canonical term text: {node.term!r}")
+        suffix = " [FACT]" if node.kind == FACT else ""
+        out.append(f"{INDENT * depth}{node.term}{suffix}")
 
 
 def render_document(bundle: TraceBundle) -> str:
@@ -178,7 +212,7 @@ def render_document(bundle: TraceBundle) -> str:
     lines.append("")
     lines.append("Explanation:")
     lines.append("")
-    _node_lines(bundle.explanation, 0, lines)
+    _node_lines(bundle.explanation, lines)
     for keyword, sections in (
         ("Auxiliaries:", bundle.auxiliaries),
         ("Properties:", bundle.properties),
@@ -196,7 +230,7 @@ def render_document(bundle: TraceBundle) -> str:
             lines.append(_check_title(section.title))
             lines.append("Explanation:")
             lines.append("")
-            _node_lines(section.tree, 0, lines)
+            _node_lines(section.tree, lines)
     return "\n".join(lines) + "\n"
 
 
@@ -472,26 +506,23 @@ def _first_divergence(a: str, b: str) -> int:
 # --- term extraction ---------------------------------------------------------
 
 
-def _walk_terms(
-    node: TraceNode, depth: int, out: list[TraceTerm]
-) -> None:
-    if depth == 0:
-        role = CONCLUSION
-    elif node.kind == FACT:
-        role = FACT_LEAF
-    elif node.kind == NAF:
-        role = NAF_LEAF
-    else:
-        role = INTERMEDIATE
-    out.append(TraceTerm(node.term, role, depth))
-    for child in node.children:
-        _walk_terms(child, depth + 1, out)
+def _walk_terms(root: TraceNode, out: list[TraceTerm]) -> None:
+    for node, depth in _preorder(root):
+        if depth == 0:
+            role = CONCLUSION
+        elif node.kind == FACT:
+            role = FACT_LEAF
+        elif node.kind == NAF:
+            role = NAF_LEAF
+        else:
+            role = INTERMEDIATE
+        out.append(TraceTerm(node.term, role, depth))
 
 
 def extract_terms(doc: TraceDocument) -> list[TraceTerm]:
     """Every tree node across all sections, in document order."""
     out: list[TraceTerm] = []
-    _walk_terms(doc.bundle.explanation, 0, out)
+    _walk_terms(doc.bundle.explanation, out)
     for section in doc.bundle.auxiliaries + doc.bundle.properties:
-        _walk_terms(section.tree, 0, out)
+        _walk_terms(section.tree, out)
     return out

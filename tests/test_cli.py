@@ -278,6 +278,39 @@ def test_evaluate_missing_file_is_status_2(workdir, capsys):
     assert status == EXIT_DATA
 
 
+DEEP = "f(" * 3000 + "a" + ")" * 3000
+DEEP_TRACE = (
+    "s - a1\n\nArticle 1\nOption: opt\n\nExplanation:\n\n" + DEEP + "\n"
+)
+
+
+def _evaluate(workdir, output: str, trace: str) -> int:
+    out_file = workdir / "output.txt"
+    out_file.write_text(output, encoding="utf-8")
+    trace_file = workdir / "deep.trace"
+    trace_file.write_text(trace, encoding="utf-8")
+    return main(["evaluate", str(out_file), str(trace_file)])
+
+
+def test_evaluate_deeply_nested_output(workdir, capsys):
+    unclosed = "f(" * 3000 + "a"
+    assert _evaluate(workdir, unclosed, fixtures.listing1_trace()) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["groundedness"]["hallucinated"] == []
+
+
+def test_evaluate_deeply_nested_trace(workdir, capsys):
+    assert _evaluate(workdir, "no terms", DEEP_TRACE) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["completeness"]["missing"] == [DEEP]
+
+
+def test_evaluate_unclosed_deeply_nested_trace_is_status_2(workdir, capsys):
+    unclosed = DEEP_TRACE.replace(")\n", "\n")
+    assert _evaluate(workdir, "no terms", unclosed) == EXIT_DATA
+    assert "malformed term" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
+from lexplain import fixtures
+from lexplain import kb as kb_module
 from lexplain.dsl import parse_facts, parse_rules
 from lexplain.engine import (
     FACT,
@@ -16,7 +21,14 @@ from lexplain.engine import (
     ground_oracle,
     solve,
 )
-from lexplain.kb import CaseFacts, Term, Variable, format_term
+from lexplain.kb import (
+    CaseFacts,
+    KnowledgeBase,
+    Term,
+    Variable,
+    format_term,
+    merge,
+)
 
 V = Variable
 
@@ -194,3 +206,118 @@ def test_ground_oracle_respects_naf(eu_kb, mario_facts):
     )
     atoms = ground_oracle(eu_kb, blocked)
     assert not any(t.functor == "has_right" for t in atoms)
+
+
+# --- search order under the fact and clause indexes --------------------------
+
+# Listed out of canonical order; canonically p(a, x) < p(a, x, y) <
+# p(a, z) < p(b, y) < q(a), so p/3 sits between two p/2 facts that share
+# a first argument.
+INDEX_FACTS = "p(b, y).\np(a, x).\nq(a).\np(a, z).\np(a, x, y).\n"
+
+
+def _answers(goal, kb, facts):
+    return [
+        (format_term(tree.literal.term), tree.kind, tree.article)
+        for _, tree in solve(goal, kb, facts)
+    ]
+
+
+def test_bound_first_argument_keeps_canonical_fact_order():
+    facts = parse_facts(INDEX_FACTS)
+    assert _answers(Term("p", ("a", V("X"))), KnowledgeBase(), facts) == [
+        ("p(a, x)", FACT, None),
+        ("p(a, z)", FACT, None),
+    ]
+    assert _answers(Term("p", ("c", V("X"))), KnowledgeBase(), facts) == []
+
+
+def test_free_first_argument_keeps_canonical_fact_order():
+    facts = parse_facts(INDEX_FACTS)
+    assert _answers(Term("p", (V("Y"), V("X"))), KnowledgeBase(), facts) == [
+        ("p(a, x)", FACT, None),
+        ("p(a, z)", FACT, None),
+        ("p(b, y)", FACT, None),
+    ]
+    assert _answers(Term("p", (V("Y"), "z")), KnowledgeBase(), facts) == [
+        ("p(a, z)", FACT, None),
+    ]
+
+
+def test_clauses_are_tried_in_textual_order_across_predicates():
+    kb = parse_rules(
+        "%% source: s\n"
+        "%% article: a2\n%% title: Two\np(X) :- r(X).\n"
+        "%% article: a1\n%% title: One\nq(X) :- r(X).\n"
+        "%% article: a3\n%% title: Three\np(X) :- s(X).\n"
+    )
+    facts = parse_facts("s(a).\nr(a).\np(c).\n")
+    assert _answers(Term("p", (V("X"),)), kb, facts) == [
+        ("p(c)", FACT, None),
+        ("p(a)", RULE, "a2"),
+        ("p(a)", RULE, "a3"),
+    ]
+    assert _answers(Term("p", ("a",)), kb, facts) == [
+        ("p(a)", RULE, "a2"),
+        ("p(a)", RULE, "a3"),
+    ]
+
+
+# --- work done per derive_rights call ----------------------------------------
+
+
+def test_repeated_derive_rights_reuses_the_scoped_kb(monkeypatch, mario_facts):
+    kb = merge([fixtures.eu_kb(), fixtures.pl_kb()])
+    calls = []
+    real = kb_module.compute_strata
+
+    def counting(clauses):
+        calls.append(1)
+        return real(clauses)
+
+    monkeypatch.setattr(kb_module, "compute_strata", counting)
+    first = derive_rights("mario", "directive_2010_64", kb, mario_facts)
+    assert len(calls) == 1
+    again = derive_rights("mario", "directive_2010_64", kb, mario_facts)
+    assert len(calls) == 1
+    assert again == first
+
+
+def test_restricted_to_is_memoized_and_equals_a_fresh_build():
+    kb = merge([fixtures.eu_kb(), fixtures.pl_kb()])
+    for source in kb.sources:
+        scoped = kb.restricted_to(source.id)
+        assert kb.restricted_to(source.id) is scoped
+        assert scoped == KnowledgeBase(
+            tuple(c for c in kb.clauses if c.source == source)
+        )
+        assert scoped.sources == (source,)
+
+
+def test_restricted_to_returns_one_object_across_threads():
+    workers = 8
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            kb = merge([fixtures.eu_kb(), fixtures.pl_kb()])
+            ids = [s.id for s in kb.sources]
+            seen: dict[str, list] = {i: [] for i in ids}
+            start = threading.Barrier(workers)
+
+            def work():
+                start.wait(timeout=10)
+                for source_id in ids:
+                    seen[source_id].append(kb.restricted_to(source_id))
+
+            threads = [threading.Thread(target=work) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            for source_id in ids:
+                assert len(seen[source_id]) == workers
+                assert all(s is seen[source_id][0] for s in seen[source_id])
+    finally:
+        sys.setswitchinterval(switch)

@@ -176,6 +176,26 @@ def test_scan_reports_wrappers_and_their_bodies():
     ]
 
 
+def test_scan_reports_terms_inside_a_malformed_wrapper():
+    assert scan_output_terms("f(g(a), h(b") == ["g(a)"]
+    assert scan_output_terms("f(g(a) x) and f(g(a))") == [
+        "g(a)",
+        "f(g(a))",
+        "g(a)",
+    ]
+
+
+def test_scan_handles_deep_nesting():
+    depth = 3000
+    deep = "f(" * depth + "a" + ")" * depth
+    found = scan_output_terms(deep)
+    assert len(found) == depth
+    assert found[0] == deep
+    assert found[-1] == "f(a)"
+    assert scan_output_terms(deep[:-1])[0] == deep[2:-1]
+    assert scan_output_terms("f(" * depth + "a") == []
+
+
 def test_scan_ignores_english_parentheticals():
     text = "the terminology (essential vs. necessary) might differ(!)"
     assert scan_output_terms(text) == []

@@ -12,13 +12,16 @@ from lexplain.engine import derive_rights
 from lexplain.trace import (
     CONCLUSION,
     FACT_LEAF,
+    INDENT,
     INTERMEDIATE,
     NAF_LEAF,
     MissingTitleError,
     TraceBundle,
+    TraceError,
     TraceParseError,
     canonical_term_text,
     extract_terms,
+    parse_term_at,
     parse_trace,
     render_document,
     render_trace,
@@ -242,3 +245,89 @@ def test_conclusions_per_section(listing1_doc):
     )
     assert len(conclusions) == sections
     assert all(t.depth == 0 for t in conclusions)
+
+
+# --- deep nesting and arbitrary input ----------------------------------------
+
+DEPTH = 3000
+DEEP = "f(" * DEPTH + "a" + ")" * DEPTH
+TRACE_HEAD = "s - a1\n\nArticle 1\nOption: opt\n\nExplanation:\n\n"
+
+
+def test_parse_term_at_handles_deep_nesting():
+    assert parse_term_at(DEEP, 0) == (DEEP, len(DEEP))
+    spaced = "f( " * DEPTH + "a" + " )" * DEPTH
+    assert parse_term_at(spaced, 0) == (DEEP, len(spaced))
+    assert parse_term_at(DEEP[:-1], 0) is None
+    assert parse_term_at(DEEP, 2) == (DEEP[2:-1], len(DEEP) - 1)
+
+
+def test_canonical_term_text_handles_deep_nesting():
+    assert canonical_term_text(DEEP) == DEEP
+    with pytest.raises(TraceError):
+        canonical_term_text(DEEP[:-1])
+
+
+def test_parse_trace_handles_deep_nesting():
+    doc = parse_trace(TRACE_HEAD + DEEP + "\n")
+    assert doc.bundle.explanation.term == DEEP
+    with pytest.raises(TraceError):
+        parse_trace(TRACE_HEAD + DEEP[:-1] + "\n")
+
+
+def test_deep_proof_tree_round_trips():
+    depth = 1500
+    text = TRACE_HEAD + "".join(f"{INDENT * d}p{d}(a)\n" for d in range(depth))
+    doc = parse_trace(text)
+    assert render_document(doc.bundle) == text
+    assert [t.depth for t in extract_terms(doc)] == list(range(depth))
+
+
+@st.composite
+def nested_text(draw):
+    """Text around a term nested up to DEPTH deep, often unbalanced."""
+    depth = draw(st.integers(0, DEPTH))
+    opener = draw(st.sampled_from(["f(", "not(", "g_1( ", "f(a, ", "F("]))
+    core = draw(st.sampled_from(["a", "", "X", "b , c", "h(a)"]))
+    closer = draw(st.sampled_from([")", " )", ", b)", ",", "]"]))
+    closes = max(0, depth + draw(st.integers(-2, 2)))
+    return (
+        draw(st.text(max_size=4))
+        + opener * depth
+        + core
+        + closer * closes
+        + draw(st.text(max_size=4))
+    )
+
+
+ANY_TEXT = st.one_of(st.text(), nested_text())
+
+
+@settings(max_examples=150, deadline=None)
+@given(ANY_TEXT, st.data())
+def test_parse_term_at_returns_none_or_a_span_inside_the_text(text, data):
+    pos = data.draw(st.integers(0, len(text)))
+    parsed = parse_term_at(text, pos)
+    if parsed is not None:
+        canonical, end = parsed
+        assert pos < end <= len(text)
+        assert canonical_term_text(canonical) == canonical
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        ANY_TEXT,
+        ANY_TEXT.map(lambda tree: TRACE_HEAD + tree + "\n"),
+        st.integers(0, DEPTH).map(
+            lambda depth: TRACE_HEAD
+            + "".join(f"{INDENT * d}p(a)\n" for d in range(depth))
+        ),
+    )
+)
+def test_parse_trace_raises_only_trace_error(text):
+    try:
+        doc = parse_trace(text)
+    except TraceError:
+        return
+    assert render_document(doc.bundle) == text
