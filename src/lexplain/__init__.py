@@ -75,7 +75,6 @@ from .trace import (
     TraceNode,
     TraceParseError,
     TraceSection,
-    TraceTerm,
     extract_terms,
     parse_trace,
     render_document,

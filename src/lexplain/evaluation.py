@@ -174,14 +174,14 @@ def _restatements(trace: TraceDocument) -> dict[str, str]:
     under a section conclusion) to that conclusion; citing the conclusion
     counts as citing the restatement."""
     mapping: dict[str, str] = {}
-    roots = [trace.bundle.explanation]
-    roots += [s.tree for s in trace.bundle.auxiliaries]
-    roots += [s.tree for s in trace.bundle.properties]
-    for root in roots:
+    trees = [trace.bundle.explanation]
+    trees += [s.tree for s in trace.bundle.auxiliaries]
+    trees += [s.tree for s in trace.bundle.properties]
+    for root, *nodes in trees:
         functor, arity = _term_parts(root.term)
-        for child in root.children:
-            child_functor, child_arity = _term_parts(child.term)
-            if child_functor == functor and child_arity == arity - 1:
+        for child in nodes:
+            parts = _term_parts(child.term)
+            if child.depth == 1 and parts == (functor, arity - 1):
                 mapping[child.term] = root.term
     return mapping
 
@@ -198,10 +198,10 @@ def check_completeness(
     restated = _restatements(trace)
     required: list[str] = []
     seen: set[str] = set()
-    for term in extract_terms(trace):
-        if term.text not in seen:
-            seen.add(term.text)
-            required.append(term.text)
+    for node in extract_terms(trace):
+        if node.term not in seen:
+            seen.add(node.term)
+            required.append(node.term)
 
     def cited(term_text: str) -> bool:
         if term_text in normalized:
@@ -248,14 +248,15 @@ def check_groundedness(
     """Flag term-shaped references that do not occur in the trace
     (negation bodies count as known subterms)."""
     known: set[str] = set()
-    for term in extract_terms(trace):
-        known.add(term.text)
-        if term.text.startswith("not(") and term.text.endswith(")"):
-            known.add(term.text[4:-1])
-    hallucinated: list[str] = []
-    for candidate in scan_output_terms(output):
-        if candidate not in known and candidate not in hallucinated:
-            hallucinated.append(candidate)
+    for node in extract_terms(trace):
+        known.add(node.term)
+        if node.term.startswith("not(") and node.term.endswith(")"):
+            known.add(node.term[4:-1])
+    hallucinated = dict.fromkeys(
+        candidate
+        for candidate in scan_output_terms(output)
+        if candidate not in known
+    )
     return GroundednessResult(hallucinated_terms=tuple(hallucinated))
 
 

@@ -178,17 +178,19 @@ class HttpCompletionClient:
         try:
             body = response.json()
             text = body["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            usage = body.get("usage") or {}
+            prompt_tokens = int(usage.get("prompt_tokens", 0))
+            completion_tokens = int(usage.get("completion_tokens", 0))
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
             raise BackendError(f"malformed backend response: {exc}") from exc
         if not text:
             raise BackendError("backend returned an empty completion")
-        usage = body.get("usage") or {}
         return LlmResponse(
             text=text,
             model_id=body.get("model", config.model_id),
             latency=latency,
-            prompt_tokens=int(usage.get("prompt_tokens", 0)),
-            completion_tokens=int(usage.get("completion_tokens", 0)),
+            prompt_tokens=prompt_tokens,
+            completion_tokens=completion_tokens,
         )
 
 

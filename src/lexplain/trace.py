@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import NoReturn
 
 from .engine import FACT, NAF, RULE, ProofTree, RightsBundle
 from .kb import KnowledgeBase, format_literal, format_term, is_identifier
@@ -45,17 +45,56 @@ class TraceParseError(TraceError):
 
 @dataclass(frozen=True)
 class TraceNode:
-    """One tree line: canonical term text plus how it was justified."""
+    """One tree line: canonical term text, how it was justified, and its
+    depth below the tree's root (the line's indentation level)."""
 
     term: str
     kind: str  # RULE, FACT, or NAF
-    children: tuple["TraceNode", ...] = ()
+    depth: int
 
     def __post_init__(self):
         if self.kind not in (RULE, FACT, NAF):
             raise TraceError(f"unknown trace node kind: {self.kind!r}")
-        if self.kind in (FACT, NAF) and self.children:
-            raise TraceError(f"{self.kind} trace node cannot have children")
+        if canonical_term_text(self.term) != self.term:
+            raise TraceError(f"non-canonical term text: {self.term!r}")
+
+    @property
+    def role(self) -> str:
+        """CONCLUSION, INTERMEDIATE, FACT_LEAF, or NAF_LEAF."""
+        if self.depth == 0:
+            return CONCLUSION
+        if self.kind == FACT:
+            return FACT_LEAF
+        if self.kind == NAF:
+            return NAF_LEAF
+        return INTERMEDIATE
+
+
+def _check_tree(tree: tuple[TraceNode, ...], first_line: int | None) -> None:
+    """Require one root at depth 0, no indentation jump, and children only
+    under RULE nodes. A parsed tree passes the line number of its root, so
+    the error names the offending line; a constructed one passes None."""
+
+    def fail(message: str, index: int) -> NoReturn:
+        if first_line is not None:
+            raise TraceParseError(message, first_line + index)
+        raise TraceError(message)
+
+    if not tree:
+        fail("expected a proof tree", 0)
+    if tree[0].depth != 0:
+        fail("tree root must not be indented", 0)
+    for index in range(1, len(tree)):
+        depth, previous = tree[index].depth, tree[index - 1]
+        if depth > previous.depth + 1:
+            fail(
+                f"indentation jumps from level {previous.depth} to {depth}",
+                index,
+            )
+        if depth < 1:
+            fail("multiple roots in one explanation tree", index)
+        if depth > previous.depth and previous.kind != RULE:
+            fail(f"{previous.kind} node cannot have children", index)
 
 
 @dataclass(frozen=True)
@@ -66,7 +105,10 @@ class TraceSection:
     right_type: str
     value: str
     title: str
-    tree: TraceNode
+    tree: tuple[TraceNode, ...]  # the tree's lines in document order
+
+    def __post_init__(self):
+        _check_tree(self.tree, None)
 
 
 @dataclass(frozen=True)
@@ -77,24 +119,18 @@ class TraceBundle:
     article: str
     title: str
     option: str
-    explanation: TraceNode
+    explanation: tuple[TraceNode, ...]  # the tree's lines in document order
     auxiliaries: tuple[TraceSection, ...] = ()
     properties: tuple[TraceSection, ...] = ()
+
+    def __post_init__(self):
+        _check_tree(self.explanation, None)
 
 
 @dataclass(frozen=True)
 class TraceDocument:
     raw_text: str
     bundle: TraceBundle
-
-
-@dataclass(frozen=True)
-class TraceTerm:
-    """One tree node as seen by the evaluation harness."""
-
-    text: str
-    role: str  # CONCLUSION, INTERMEDIATE, FACT_LEAF, or NAF_LEAF
-    depth: int
 
 
 # --- canonical term text ----------------------------------------------------
@@ -185,21 +221,10 @@ def _check_title(title: str) -> str:
     return title
 
 
-def _preorder(root: TraceNode) -> Iterator[tuple[TraceNode, int]]:
-    """Each node of the tree and its depth, in document order."""
-    stack = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        yield node, depth
-        stack.extend((child, depth + 1) for child in reversed(node.children))
-
-
-def _node_lines(root: TraceNode, out: list[str]) -> None:
-    for node, depth in _preorder(root):
-        if node.term != canonical_term_text(node.term):
-            raise TraceError(f"non-canonical term text: {node.term!r}")
+def _node_lines(tree: tuple[TraceNode, ...], out: list[str]) -> None:
+    for node in tree:
         suffix = " [FACT]" if node.kind == FACT else ""
-        out.append(f"{INDENT * depth}{node.term}{suffix}")
+        out.append(f"{INDENT * node.depth}{node.term}{suffix}")
 
 
 def render_document(bundle: TraceBundle) -> str:
@@ -234,16 +259,20 @@ def render_document(bundle: TraceBundle) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _node_from_proof(tree: ProofTree) -> TraceNode:
-    if not tree.literal.term.is_ground:
-        raise TraceError(f"proof tree is not ground: {tree.literal}")
-    if tree.kind == NAF:
-        text = format_literal(tree.literal)
-    else:
-        text = format_term(tree.literal.term)
-    return TraceNode(
-        text, tree.kind, tuple(_node_from_proof(c) for c in tree.children)
-    )
+def _nodes_from_proof(root: ProofTree) -> tuple[TraceNode, ...]:
+    nodes: list[TraceNode] = []
+    stack = [(root, 0)]
+    while stack:
+        tree, depth = stack.pop()
+        if not tree.literal.term.is_ground:
+            raise TraceError(f"proof tree is not ground: {tree.literal}")
+        if tree.kind == NAF:
+            text = format_literal(tree.literal)
+        else:
+            text = format_term(tree.literal.term)
+        nodes.append(TraceNode(text, tree.kind, depth))
+        stack.extend((child, depth + 1) for child in reversed(tree.children))
+    return tuple(nodes)
 
 
 def render_trace(bundle: RightsBundle, kb: KnowledgeBase) -> TraceDocument:
@@ -262,7 +291,7 @@ def render_trace(bundle: RightsBundle, kb: KnowledgeBase) -> TraceDocument:
             right_type=str(args[3]),
             value=str(args[4]),
             title=title_for(str(args[0])),
-            tree=_node_from_proof(tree),
+            tree=_nodes_from_proof(tree),
         )
 
     structured = TraceBundle(
@@ -270,7 +299,7 @@ def render_trace(bundle: RightsBundle, kb: KnowledgeBase) -> TraceDocument:
         article=bundle.article,
         title=title_for(bundle.article),
         option=bundle.option,
-        explanation=_node_from_proof(bundle.primary),
+        explanation=_nodes_from_proof(bundle.primary),
         auxiliaries=tuple(section_for(t) for t in bundle.auxiliaries),
         properties=tuple(section_for(t) for t in bundle.properties),
     )
@@ -325,14 +354,13 @@ class _Cursor:
         return line
 
 
-def _parse_tree_line(line: str, line_no: int) -> tuple[int, TraceNode]:
+def _parse_tree_line(line: str, line_no: int) -> TraceNode:
     stripped = line.lstrip(" ")
     indent = len(line) - len(stripped)
     if indent % len(INDENT):
         raise TraceParseError(
             f"indentation of {indent} spaces is not a multiple of 4", line_no
         )
-    depth = indent // len(INDENT)
     if stripped.endswith(" [FACT]"):
         term = stripped[: -len(" [FACT]")]
         if term.startswith("not("):
@@ -345,56 +373,20 @@ def _parse_tree_line(line: str, line_no: int) -> tuple[int, TraceNode]:
         term = stripped
         kind = RULE
     try:
-        canonical = canonical_term_text(term)
+        return TraceNode(term, kind, indent // len(INDENT))
     except TraceError as exc:
         raise TraceParseError(str(exc), line_no) from exc
-    if canonical != term:
-        raise TraceParseError(f"non-canonical term text: {term!r}", line_no)
-    return depth, TraceNode(term, kind)
 
 
-def _parse_tree(cursor: _Cursor) -> TraceNode:
-    entries: list[tuple[int, TraceNode, int]] = []
+def _parse_tree(cursor: _Cursor) -> tuple[TraceNode, ...]:
+    first_line = cursor.line_no
+    nodes: list[TraceNode] = []
     while not cursor.exhausted and cursor.peek():
         line_no = cursor.line_no
-        depth, node = _parse_tree_line(cursor.next(), line_no)
-        entries.append((depth, node, line_no))
-    if not entries:
-        raise TraceParseError("expected a proof tree", cursor.line_no)
-    if entries[0][0] != 0:
-        raise TraceParseError("tree root must not be indented", entries[0][2])
-
-    # Rebuild the tree from (depth, node) pairs; children are immutable,
-    # so collect child lists first and construct bottom-up on dedent.
-    root = entries[0][1]
-    stack: list[tuple[int, TraceNode, list[TraceNode]]] = [(0, root, [])]
-
-    def reduce_to(depth: int) -> None:
-        while len(stack) > depth + 1:
-            _, node, kids = stack.pop()
-            rebuilt = TraceNode(node.term, node.kind, tuple(kids))
-            stack[-1][2].append(rebuilt)
-
-    for depth, node, line_no in entries[1:]:
-        if depth > len(stack):
-            raise TraceParseError(
-                f"indentation jumps from level {len(stack) - 1} to {depth}",
-                line_no,
-            )
-        if depth == 0:
-            raise TraceParseError(
-                "multiple roots in one explanation tree", line_no
-            )
-        reduce_to(depth - 1)
-        parent_kind = stack[-1][1].kind
-        if parent_kind != RULE:
-            raise TraceParseError(
-                f"{parent_kind} node cannot have children", line_no
-            )
-        stack.append((depth, node, []))
-    reduce_to(0)
-    _, node, kids = stack.pop()
-    return TraceNode(node.term, node.kind, tuple(kids))
+        nodes.append(_parse_tree_line(cursor.next(), line_no))
+    tree = tuple(nodes)
+    _check_tree(tree, first_line)
+    return tree
 
 
 def _parse_section(cursor: _Cursor) -> TraceSection:
@@ -506,23 +498,9 @@ def _first_divergence(a: str, b: str) -> int:
 # --- term extraction ---------------------------------------------------------
 
 
-def _walk_terms(root: TraceNode, out: list[TraceTerm]) -> None:
-    for node, depth in _preorder(root):
-        if depth == 0:
-            role = CONCLUSION
-        elif node.kind == FACT:
-            role = FACT_LEAF
-        elif node.kind == NAF:
-            role = NAF_LEAF
-        else:
-            role = INTERMEDIATE
-        out.append(TraceTerm(node.term, role, depth))
-
-
-def extract_terms(doc: TraceDocument) -> list[TraceTerm]:
+def extract_terms(doc: TraceDocument) -> list[TraceNode]:
     """Every tree node across all sections, in document order."""
-    out: list[TraceTerm] = []
-    _walk_terms(doc.bundle.explanation, out)
+    out = list(doc.bundle.explanation)
     for section in doc.bundle.auxiliaries + doc.bundle.properties:
-        _walk_terms(section.tree, out)
+        out.extend(section.tree)
     return out

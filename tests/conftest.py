@@ -204,20 +204,38 @@ def _term_text(rng: random.Random) -> str:
     return f"{functor}({', '.join(_ident(rng) for _ in range(nargs))})"
 
 
-def _node(rng: random.Random, depth: int, max_depth: int) -> TraceNode:
+def _node(
+    rng: random.Random, depth: int, max_depth: int
+) -> tuple[TraceNode, ...]:
+    """A random subtree's lines in document order. A RULE node's term is
+    drawn after its subtree's: keep this draw order, or each seed gives
+    another document."""
     if depth >= max_depth:
         kind = rng.choice((FACT, NAF, RULE))
     else:
         kind = rng.choice((RULE, RULE, FACT, NAF))
     if kind == NAF:
-        return TraceNode(f"not({_term_text(rng)})", NAF)
+        return (TraceNode(f"not({_term_text(rng)})", NAF, depth),)
     if kind == FACT:
-        return TraceNode(_term_text(rng), FACT)
+        return (TraceNode(_term_text(rng), FACT, depth),)
     children = tuple(
-        _node(rng, depth + 1, max_depth)
+        node
         for _ in range(rng.randint(0, 3) if depth < max_depth else 0)
+        for node in _node(rng, depth + 1, max_depth)
     )
-    return TraceNode(_term_text(rng), RULE, children)
+    return (TraceNode(_term_text(rng), RULE, depth), *children)
+
+
+def _tree(
+    rng: random.Random, max_depth: int, max_children: int
+) -> tuple[TraceNode, ...]:
+    root = TraceNode(_term_text(rng), RULE, 0)
+    children = [
+        node
+        for _ in range(rng.randint(0, max_children))
+        for node in _node(rng, 1, max_depth)
+    ]
+    return (root, *children)
 
 
 def _title(rng: random.Random) -> str:
@@ -232,11 +250,7 @@ def _title(rng: random.Random) -> str:
 
 
 def _section(rng: random.Random) -> TraceSection:
-    tree = TraceNode(
-        _term_text(rng),
-        RULE,
-        tuple(_node(rng, 1, 3) for _ in range(rng.randint(0, 2))),
-    )
+    tree = _tree(rng, 3, 2)
     return TraceSection(
         article=_ident(rng),
         right_type=_ident(rng),
@@ -247,11 +261,7 @@ def _section(rng: random.Random) -> TraceSection:
 
 
 def random_bundle(rng: random.Random) -> TraceBundle:
-    explanation = TraceNode(
-        _term_text(rng),
-        RULE,
-        tuple(_node(rng, 1, 4) for _ in range(rng.randint(0, 3))),
-    )
+    explanation = _tree(rng, 4, 3)
     return TraceBundle(
         source_id=_ident(rng),
         article=_ident(rng),

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexplain import fixtures
 from lexplain.dsl import (
@@ -12,7 +14,7 @@ from lexplain.dsl import (
     serialize_facts,
     serialize_rules,
 )
-from lexplain.kb import SafetyError, StratificationError, Term
+from lexplain.kb import KbError, SafetyError, StratificationError, Term
 
 HEADER = "%% source: s\n%% jurisdiction: X\n%% article: a1\n%% title: Article 1\n"
 
@@ -170,3 +172,39 @@ def test_jurisdiction_labels_attach_to_sources():
     (source,) = kb.sources
     assert source.id == "directive_2010_64"
     assert source.jurisdiction_label == "European Union"
+
+
+DSL_TOKENS = st.sampled_from(
+    [
+        "%% source: s",
+        "%% article: a1",
+        "%% title: Article 1",
+        "%% jurisdiction: X",
+        "%% ",
+        "% ",
+        ":-",
+        "not(",
+        "p",
+        "q",
+        "has_right",
+        "a",
+        "X",
+        "_Y",
+        "(",
+        ")",
+        ",",
+        ".",
+        " ",
+        "\n",
+    ]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), st.lists(DSL_TOKENS).map("".join)))
+def test_parsers_raise_only_typed_errors(text):
+    for parse in (parse_rules, parse_facts):
+        try:
+            parse(text)
+        except (DslError, KbError):
+            pass

@@ -229,11 +229,18 @@ def test_http_client_timeout(monkeypatch):
 
 def test_http_client_malformed_body(monkeypatch):
     monkeypatch.setenv("LLM_API_KEY", "sk-test")
-    session = _FakeSession([_FakeResponse(body={"choices": []})])
-    client = HttpCompletionClient(session=session)
-    with pytest.raises(BackendError) as err:
-        client.complete("ping", CFG)
-    assert "malformed" in str(err.value)
+    for body in (
+        {"choices": []},
+        {**_ok_body(), "usage": {"prompt_tokens": None}},
+        {**_ok_body(), "usage": {"prompt_tokens": "abc"}},
+        {**_ok_body(), "usage": "oops"},
+        {**_ok_body(), "usage": [1]},
+    ):
+        session = _FakeSession([_FakeResponse(body=body)])
+        client = HttpCompletionClient(session=session)
+        with pytest.raises(BackendError) as err:
+            client.complete("ping", CFG)
+        assert "malformed" in str(err.value)
 
 
 def test_http_client_empty_completion(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexplain.engine import derive_rights
+from lexplain.engine import FACT, RULE, derive_rights
 from lexplain.trace import (
     CONCLUSION,
     FACT_LEAF,
@@ -18,7 +18,9 @@ from lexplain.trace import (
     MissingTitleError,
     TraceBundle,
     TraceError,
+    TraceNode,
     TraceParseError,
+    TraceSection,
     canonical_term_text,
     extract_terms,
     parse_term_at,
@@ -27,7 +29,7 @@ from lexplain.trace import (
     render_trace,
 )
 
-from conftest import random_bundle
+from conftest import random_bundle, random_fact_set
 
 
 def test_render_matches_golden_eu(eu_kb, mario_facts, listing1_text):
@@ -147,7 +149,7 @@ def test_extract_terms_eu(listing1_doc):
     assert len(terms) == 11
     by_role = {}
     for t in terms:
-        by_role.setdefault(t.role, []).append(t.text)
+        by_role.setdefault(t.role, []).append(t.term)
     assert set(by_role[FACT_LEAF]) == {
         "proceeding_language(mario, polish)",
         "person_document(mario, charge)",
@@ -197,15 +199,26 @@ def test_render_guards_against_non_canonical_nodes():
     from lexplain.trace import TraceError, TraceNode
     from lexplain.engine import RULE
 
-    bundle = TraceBundle(
-        source_id="s",
-        article="a1",
-        title="Article 1",
-        option="opt",
-        explanation=TraceNode("p(a,b)", RULE),  # missing canonical space
-    )
     with pytest.raises(TraceError):
-        render_document(bundle)
+        TraceNode("p(a,b)", RULE, 0)  # missing canonical space
+
+
+@pytest.mark.parametrize(
+    "tree, message",
+    [
+        ((), "expected a proof tree"),
+        ((TraceNode("p", RULE, 1),), "root must not be indented"),
+        ((TraceNode("p", RULE, 0), TraceNode("q", RULE, 2)), "jumps"),
+        ((TraceNode("p", RULE, 0), TraceNode("q", RULE, 0)), "multiple roots"),
+        ((TraceNode("p", FACT, 0), TraceNode("q", RULE, 1)), "cannot have"),
+    ],
+)
+def test_constructors_check_tree_shape(tree, message):
+    with pytest.raises(TraceError, match=message) as err:
+        TraceBundle("s", "a1", "Article 1", "opt", tree)
+    assert not isinstance(err.value, TraceParseError)
+    with pytest.raises(TraceError, match=message):
+        TraceSection("a1", "cost", "state", "Article 1", tree)
 
 
 def test_minimal_document_round_trip():
@@ -235,6 +248,25 @@ def test_random_bundles_round_trip(seed):
     doc = parse_trace(text)
     assert doc.bundle == bundle
     assert render_document(doc.bundle) == text
+
+
+@pytest.mark.parametrize("kb_fixture", ["eu_kb", "pl_kb"])
+def test_derived_traces_round_trip(kb_fixture, request, mario_facts):
+    kb = request.getfixturevalue(kb_fixture)
+    rng = random.Random(f"round-trip-{kb_fixture}")
+    # Sparser random cases derive no right at all.
+    cases = [mario_facts] + [random_fact_set(rng, 150) for _ in range(40)]
+    rendered = {"mario": 0, "anna": 0}
+    for facts in cases:
+        for person in rendered:
+            for source in kb.sources:
+                for bundle in derive_rights(person, source.id, kb, facts):
+                    doc = render_trace(bundle, kb)
+                    parsed = parse_trace(doc.raw_text)
+                    assert parsed.bundle == doc.bundle
+                    assert render_document(parsed.bundle) == doc.raw_text
+                    rendered[person] += 1
+    assert min(rendered.values()) > 1
 
 
 def test_conclusions_per_section(listing1_doc):
@@ -270,7 +302,7 @@ def test_canonical_term_text_handles_deep_nesting():
 
 def test_parse_trace_handles_deep_nesting():
     doc = parse_trace(TRACE_HEAD + DEEP + "\n")
-    assert doc.bundle.explanation.term == DEEP
+    assert doc.bundle.explanation[0].term == DEEP
     with pytest.raises(TraceError):
         parse_trace(TRACE_HEAD + DEEP[:-1] + "\n")
 
@@ -281,6 +313,9 @@ def test_deep_proof_tree_round_trips():
     doc = parse_trace(text)
     assert render_document(doc.bundle) == text
     assert [t.depth for t in extract_terms(doc)] == list(range(depth))
+    again = parse_trace(text)
+    assert again.bundle == doc.bundle
+    assert hash(again.bundle) == hash(doc.bundle)
 
 
 @st.composite
