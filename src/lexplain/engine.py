@@ -92,7 +92,8 @@ class ProofTree:
 
     kind is RULE (children mirror the applied clause's body, in order),
     FACT (leaf, positive literal present in the case facts), or NAF
-    (leaf, negated literal whose subgoal has no proof).
+    (leaf, negated literal whose subgoal has no proof). Each node checks
+    this when it is built, so a tree that exists has this shape throughout.
     """
 
     literal: Literal
@@ -100,45 +101,37 @@ class ProofTree:
     article: str | None
     children: tuple["ProofTree", ...] = ()
 
-    def validate(self, facts: CaseFacts | None = None) -> None:
-        if self.kind == FACT:
-            if self.children:
-                raise EngineError("FACT node with children")
-            if self.literal.negated:
-                raise EngineError("FACT node with a negated literal")
-            if facts is not None and self.literal.term not in facts:
-                raise EngineError(
-                    f"FACT node not among case facts: {self.literal}"
-                )
-        elif self.kind == NAF:
-            if self.children:
-                raise EngineError("NAF node with children")
-            if not self.literal.negated:
-                raise EngineError("NAF node with a positive literal")
-        elif self.kind == RULE:
+    def __post_init__(self):
+        kind = self.kind
+        if kind == RULE:
             if self.article is None:
                 raise EngineError("RULE node without an article id")
             if self.literal.negated:
                 raise EngineError("RULE node with a negated literal")
+        elif kind == FACT or kind == NAF:
+            if self.children:
+                raise EngineError(f"{kind} node with children")
+            if self.literal.negated != (kind == NAF):
+                wrong = "positive" if kind == NAF else "negated"
+                raise EngineError(f"{kind} node with a {wrong} literal")
         else:
-            raise EngineError(f"unknown node kind: {self.kind!r}")
-        for child in self.children:
-            child.validate(facts)
+            raise EngineError(f"unknown node kind: {kind!r}")
 
     @property
     def is_ground(self) -> bool:
-        return self.literal.term.is_ground and all(
-            c.is_ground for c in self.children
-        )
+        return all(n.literal.term.is_ground for _, n in self.nodes())
 
     @property
     def has_naf(self) -> bool:
-        return self.kind == NAF or any(c.has_naf for c in self.children)
+        return any(n.kind == NAF for _, n in self.nodes())
 
-    def nodes(self) -> Iterator["ProofTree"]:
-        yield self
-        for child in self.children:
-            yield from child.nodes()
+    def nodes(self) -> Iterator[tuple[int, "ProofTree"]]:
+        """Every node with its depth below this one, in pre-order."""
+        stack = [(0, self)]
+        while stack:
+            depth, node = stack.pop()
+            yield depth, node
+            stack.extend((depth + 1, c) for c in reversed(node.children))
 
 
 @dataclass(frozen=True)
@@ -148,7 +141,6 @@ class RightsBundle:
 
     source: LegalSource
     primary: ProofTree
-    option: str
     auxiliaries: tuple[ProofTree, ...] = ()
     properties: tuple[ProofTree, ...] = ()
 
@@ -160,8 +152,6 @@ class RightsBundle:
             )
         if not self.primary.is_ground:
             raise EngineError("primary proof tree is not ground")
-        if root.args[4] != self.option:
-            raise EngineError("option does not match the primary conclusion")
         for tree, functor in itertools.chain(
             ((t, "auxiliary_right") for t in self.auxiliaries),
             ((t, "right_property") for t in self.properties),
@@ -186,6 +176,10 @@ class RightsBundle:
     @property
     def person(self) -> str:
         return self.primary.literal.term.args[3]  # type: ignore[return-value]
+
+    @property
+    def option(self) -> str:
+        return self.primary.literal.term.args[4]  # type: ignore[return-value]
 
 
 # --- unification over the function-free fragment ---------------------------
@@ -284,7 +278,7 @@ def _solve_term(
             )
         for final, children in _solve_body(body, unified, ctx, depth + 1):
             yield final, ProofTree(
-                Literal(target), RULE, clause.article, tuple(children)
+                Literal(target), RULE, clause.article, children
             )
 
 
@@ -304,14 +298,25 @@ def _solve_literal(
 
 def _solve_body(
     body: tuple[Literal, ...], bindings: dict, ctx: _Context, depth: int
-) -> Iterator[tuple[dict, list[ProofTree]]]:
+) -> Iterator[tuple[dict, tuple[ProofTree, ...]]]:
+    """Prove body literals left to right with one open iterator per literal
+    entered, so a body of any length fits in a bounded Python stack."""
     if not body:
-        yield bindings, []
+        yield bindings, ()
         return
-    first, rest = body[0], body[1:]
-    for mid, tree in _solve_literal(first, bindings, ctx, depth):
-        for final, trees in _solve_body(rest, mid, ctx, depth):
-            yield final, [tree] + trees
+    iterators = [_solve_literal(body[0], bindings, ctx, depth)]
+    proofs: list[ProofTree] = []  # one per literal before the last iterator's
+    while iterators:
+        step = next(iterators[-1], None)
+        del proofs[len(iterators) - 1 :]
+        if step is None:
+            iterators.pop()
+        elif len(iterators) == len(body):
+            yield step[0], (*proofs, step[1])
+        else:
+            proofs.append(step[1])
+            literal = body[len(iterators)]
+            iterators.append(_solve_literal(literal, step[0], ctx, depth))
 
 
 def solve(
@@ -383,16 +388,15 @@ def derive_rights(
     )
     bundles: list[RightsBundle] = []
     for tree in _first_proofs(goal, scoped, facts):
-        conclusion = tree.literal.term
-        article = conclusion.args[2]
-        option = conclusion.args[4]
-        if not isinstance(article, str) or not isinstance(option, str):
-            raise EngineError(f"non-ground primary conclusion: {conclusion}")
+        article = tree.literal.term.args[2]
+        if not isinstance(article, str):
+            raise EngineError(
+                f"non-ground primary conclusion: {tree.literal.term}"
+            )
         bundles.append(
             RightsBundle(
                 source=source,
                 primary=tree,
-                option=option,
                 auxiliaries=_attachments(
                     "auxiliary_right", article, person, scoped, facts
                 ),

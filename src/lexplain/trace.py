@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NoReturn
 
 from .engine import FACT, NAF, RULE, ProofTree, RightsBundle
-from .kb import KnowledgeBase, format_literal, format_term, is_identifier
+from .kb import KnowledgeBase, format_literal, is_identifier
 
 INDENT = "    "
 
@@ -97,6 +97,15 @@ def _check_tree(tree: tuple[TraceNode, ...], first_line: int | None) -> None:
             fail(f"{previous.kind} node cannot have children", index)
 
 
+def _check_header(title: str, *atoms: str) -> None:
+    """Reject a header whose rendered lines would not parse back."""
+    if not title or title != title.strip() or "\n" in title or "\t" in title:
+        raise TraceError(f"invalid display title: {title!r}")
+    for atom in atoms:
+        if not is_identifier(atom):
+            raise TraceError(f"header part is not an atom: {atom!r}")
+
+
 @dataclass(frozen=True)
 class TraceSection:
     """An auxiliary-right or right-property block."""
@@ -108,6 +117,7 @@ class TraceSection:
     tree: tuple[TraceNode, ...]  # the tree's lines in document order
 
     def __post_init__(self):
+        _check_header(self.title, self.article, self.right_type, self.value)
         _check_tree(self.tree, None)
 
 
@@ -124,6 +134,7 @@ class TraceBundle:
     properties: tuple[TraceSection, ...] = ()
 
     def __post_init__(self):
+        _check_header(self.title, self.source_id, self.article, self.option)
         _check_tree(self.explanation, None)
 
 
@@ -215,12 +226,6 @@ def canonical_term_text(text: str) -> str:
 # --- rendering ---------------------------------------------------------------
 
 
-def _check_title(title: str) -> str:
-    if not title or title != title.strip() or "\n" in title:
-        raise TraceError(f"invalid display title: {title!r}")
-    return title
-
-
 def _node_lines(tree: tuple[TraceNode, ...], out: list[str]) -> None:
     for node in tree:
         suffix = " [FACT]" if node.kind == FACT else ""
@@ -232,7 +237,7 @@ def render_document(bundle: TraceBundle) -> str:
     lines: list[str] = []
     lines.append(f"{bundle.source_id} - {bundle.article}")
     lines.append("")
-    lines.append(_check_title(bundle.title))
+    lines.append(bundle.title)
     lines.append(f"Option: {bundle.option}")
     lines.append("")
     lines.append("Explanation:")
@@ -252,7 +257,7 @@ def render_document(bundle: TraceBundle) -> str:
                 f"{section.article} - {section.right_type} - {section.value}"
             )
             lines.append("")
-            lines.append(_check_title(section.title))
+            lines.append(section.title)
             lines.append("Explanation:")
             lines.append("")
             _node_lines(section.tree, lines)
@@ -260,19 +265,10 @@ def render_document(bundle: TraceBundle) -> str:
 
 
 def _nodes_from_proof(root: ProofTree) -> tuple[TraceNode, ...]:
-    nodes: list[TraceNode] = []
-    stack = [(root, 0)]
-    while stack:
-        tree, depth = stack.pop()
-        if not tree.literal.term.is_ground:
-            raise TraceError(f"proof tree is not ground: {tree.literal}")
-        if tree.kind == NAF:
-            text = format_literal(tree.literal)
-        else:
-            text = format_term(tree.literal.term)
-        nodes.append(TraceNode(text, tree.kind, depth))
-        stack.extend((child, depth + 1) for child in reversed(tree.children))
-    return tuple(nodes)
+    return tuple(
+        TraceNode(format_literal(node.literal), node.kind, depth)
+        for depth, node in root.nodes()
+    )
 
 
 def render_trace(bundle: RightsBundle, kb: KnowledgeBase) -> TraceDocument:
@@ -353,6 +349,14 @@ class _Cursor:
             raise TraceParseError(f"expected {what}", self.line_no - 1)
         return line
 
+    def expect_title(self) -> str:
+        title = self.expect_nonblank("a display title")
+        try:
+            _check_header(title)
+        except TraceError as exc:
+            raise TraceParseError(str(exc), self.line_no - 1) from exc
+        return title
+
 
 def _parse_tree_line(line: str, line_no: int) -> TraceNode:
     stripped = line.lstrip(" ")
@@ -397,7 +401,7 @@ def _parse_section(cursor: _Cursor) -> TraceSection:
             f"malformed section header: {header!r}", cursor.line_no - 1
         )
     cursor.expect_blank()
-    title = cursor.expect_nonblank("a display title")
+    title = cursor.expect_title()
     marker = cursor.expect_nonblank("'Explanation:'")
     if marker != "Explanation:":
         raise TraceParseError(
@@ -419,7 +423,7 @@ def parse_trace(text: str) -> TraceDocument:
         )
     source_id, article = parts
     cursor.expect_blank()
-    title = cursor.expect_nonblank("a display title")
+    title = cursor.expect_title()
     option_line = cursor.expect_nonblank("an 'Option:' line")
     if not option_line.startswith("Option: "):
         raise TraceParseError(

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lexplain import fixtures
 from lexplain.cli import (
@@ -426,3 +431,127 @@ def test_bad_input_maps_to_documented_exit_code(
         (workdir / name).write_bytes(data)
     assert main(argv) == expected
     assert "error" in capsys.readouterr().err
+
+
+def test_solve_rejects_a_tab_in_a_title(tmp_path, capsys):
+    (tmp_path / "tab.rules").write_text(
+        "%% source: s\n%% article: a1\n%% title: Article\t3\n"
+        "has_right(r, t, a1, P, o) :- person(P).\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "case.facts").write_text("person(mario).\n", encoding="utf-8")
+    out = tmp_path / "out"
+    status = main(
+        ["solve", "--kb", str(tmp_path / "tab.rules"),
+         "--facts", str(tmp_path / "case.facts"), "--person", "mario",
+         "--out", str(out)]
+    )
+    assert status == EXIT_DATA
+    assert "invalid display title" in capsys.readouterr().err
+    assert not list(out.glob("*.trace"))
+
+
+# --- arbitrary input files ------------------------------------------------------
+
+
+def _near(text: str) -> st.SearchStrategy[str]:
+    """The text itself (half the time), the text with a span replaced, or
+    any text. Repeating a branch of st.one_of weights it."""
+    spliced = st.tuples(
+        st.integers(0, len(text)), st.integers(0, 40), st.text(max_size=8)
+    ).map(lambda t: text[: t[0]] + t[2] + text[t[0] + t[1]:])
+    return st.one_of(st.just(text), st.just(text), spliced, st.text())
+
+
+SOURCES = ["directive_2010_64", "directive_2010_64_pl"]
+# Path-valued keys name files inside the run's directory only.
+CONFIG_VALUES = {
+    "kb": st.lists(st.sampled_from(["eu.rules", "pl.rules", "nope"]), max_size=2),
+    "facts": st.sampled_from(["case.facts", "nope"]),
+    "sources": st.lists(st.sampled_from([*SOURCES, "x"]), max_size=3),
+    "person": st.sampled_from(["mario", "anna", "Mario"]),
+    "mock_dir": st.sampled_from(["mock", "nope"]),
+    "repetitions": st.integers(-1, 3),
+    "out": st.sampled_from(["out", "o2"]),
+    "model": st.text(max_size=4),
+    "temperature": st.floats(-1, 3),
+    "max_tokens": st.integers(-1, 4096),
+    "timeout": st.floats(-1, 60),
+}
+CONFIG_TEXT = st.one_of(
+    st.none(),
+    st.none(),
+    st.fixed_dictionaries({}, optional=CONFIG_VALUES).map(json.dumps),
+    st.dictionaries(
+        st.sampled_from([*CONFIG_VALUES, "base_url", "unknown"]),
+        st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3)),
+        max_size=2,
+    ).map(json.dumps),
+    st.text(),
+)
+MOCK_TEXT = st.one_of(
+    _near(fixtures.translation_output_eu()),
+    _near(fixtures.translation_output_pl()),
+    _near(fixtures.comparison_output()),
+)
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["solve", "explain", "compare", "evaluate"]),
+    rules=_near(fixtures.eu_rules_text()),
+    facts=_near(fixtures.mario_facts_text()),
+    config=CONFIG_TEXT,
+    mocks=st.lists(MOCK_TEXT, max_size=4),
+    trace=_near(fixtures.listing1_trace()),
+    repetitions=st.integers(-2, 3),
+    sources=st.one_of(
+        st.just(SOURCES[:1]),
+        st.just(SOURCES),
+        st.lists(st.sampled_from([*SOURCES, "x"]), max_size=3),
+    ),
+)
+def test_cli_returns_a_documented_code_on_any_input(
+    monkeypatch, command, rules, facts, config, mocks, trace, repetitions,
+    sources,
+):
+    monkeypatch.delenv("LLM_API_KEY", raising=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "eu.rules").write_text(rules, encoding="utf-8")
+        (work / "pl.rules").write_text(fixtures.pl_rules_text(), encoding="utf-8")
+        (work / "case.facts").write_text(facts, encoding="utf-8")
+        (work / "mock").mkdir()
+        for index, text in enumerate(mocks, start=1):
+            (work / "mock" / f"{index:03d}.txt").write_text(
+                text, encoding="utf-8"
+            )
+        output = mocks[0] if mocks else ""
+        (work / "out.txt").write_text(output, encoding="utf-8")
+        (work / "t.trace").write_text(trace, encoding="utf-8")
+        if command == "evaluate":
+            argv = ["evaluate", "out.txt", "t.trace", "--out", "report.json"]
+        else:
+            argv = [command, "--kb", "eu.rules", "--kb", "pl.rules",
+                    "--facts", "case.facts", "--person", "mario"]
+            for source in sources:
+                argv += ["--source", source]
+        if command in ("explain", "compare"):
+            argv += ["--mock-dir", "mock"]
+        if command == "compare":
+            argv += ["--repetitions", str(repetitions)]
+        if config is not None and command != "evaluate":
+            (work / "c.json").write_text(config, encoding="utf-8")
+            argv += ["--config", "c.json"]
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            status = main(argv)
+        finally:
+            os.chdir(cwd)
+    assert status in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NO_RESULT,
+                      EXIT_GATEWAY)

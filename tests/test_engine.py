@@ -9,13 +9,16 @@ import pytest
 
 from lexplain import fixtures
 from lexplain import kb as kb_module
+from lexplain.cli import main
 from lexplain.dsl import parse_facts, parse_rules
 from lexplain.engine import (
     FACT,
     NAF,
     RULE,
     DepthLimitError,
+    EngineError,
     NafNonGroundError,
+    ProofTree,
     UnknownSourceError,
     derive_rights,
     ground_oracle,
@@ -24,11 +27,13 @@ from lexplain.engine import (
 from lexplain.kb import (
     CaseFacts,
     KnowledgeBase,
+    Literal,
     Term,
     Variable,
     format_term,
     merge,
 )
+from lexplain.trace import parse_trace, render_trace
 
 V = Variable
 
@@ -94,8 +99,36 @@ def test_naf_on_nonground_goal_raises(eu_kb):
 
 def test_proof_trees_validate(eu_kb, mario_facts):
     for _, tree in solve(goal_has_right("mario"), eu_kb, mario_facts):
-        tree.validate(mario_facts)
+        for _, node in tree.nodes():
+            assert node.kind != FACT or node.literal.term in mario_facts
         assert tree.is_ground
+
+
+POSITIVE = Literal(Term("p", ("a",)))
+NEGATED = Literal(Term("p", ("a",)), negated=True)
+LEAF = ProofTree(POSITIVE, FACT, None)
+
+
+@pytest.mark.parametrize(
+    "literal, kind, article, children, message",
+    [
+        (POSITIVE, "LEMMA", None, (), "unknown node kind: 'LEMMA'"),
+        (POSITIVE, FACT, None, (LEAF,), "FACT node with children"),
+        (NEGATED, FACT, None, (), "FACT node with a negated literal"),
+        (NEGATED, NAF, None, (LEAF,), "NAF node with children"),
+        (POSITIVE, NAF, None, (), "NAF node with a positive literal"),
+        (POSITIVE, RULE, None, (LEAF,), "RULE node without an article id"),
+        (NEGATED, RULE, "a", (LEAF,), "RULE node with a negated literal"),
+    ],
+    ids=["unknown-kind", "fact-children", "fact-negated", "naf-children",
+         "naf-positive", "rule-no-article", "rule-negated"],
+)
+def test_proof_tree_checks_its_node_when_built(
+    literal, kind, article, children, message
+):
+    with pytest.raises(EngineError) as err:
+        ProofTree(literal, kind, article, children)
+    assert str(err.value) == message
 
 
 def test_depth_limit_fails_loudly():
@@ -321,3 +354,38 @@ def test_restricted_to_returns_one_object_across_threads():
                 assert all(s is seen[source_id][0] for s in seen[source_id])
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_long_rule_body_is_derived(tmp_path):
+    # One matching fact per literal, so there is exactly one proof.
+    body = ", ".join(f"f(X{i})" for i in range(1500))
+    rules = (
+        "%% source: s\n%% article: a\n%% title: T\n"
+        f"has_right(r, t, a, P, o) :- person(P), {body}.\n"
+    )
+    facts_text = "person(mario).\nf(c).\n"
+    kb, facts = parse_rules(rules), parse_facts(facts_text)
+    bundles = derive_rights("mario", "s", kb, facts)
+    expected = [
+        atom for atom in ground_oracle(kb, facts)
+        if atom.predicate == ("has_right", 5)
+    ]
+    assert [b.primary.literal.term for b in bundles] == expected
+    assert len(bundles[0].primary.children) == 1501
+    doc = render_trace(bundles[0], kb)
+    assert parse_trace(doc.raw_text) == doc
+    (tmp_path / "long.rules").write_text(rules, encoding="utf-8")
+    (tmp_path / "case.facts").write_text(facts_text, encoding="utf-8")
+    argv = ["solve", "--kb", str(tmp_path / "long.rules"),
+            "--facts", str(tmp_path / "case.facts"), "--person", "mario",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+
+
+def test_non_ground_option_is_an_engine_error():
+    kb = parse_rules(
+        "%% source: s\n%% article: a\n%% title: T\n"
+        "has_right(r, t, a, P, O) :- person(P).\n"
+    )
+    with pytest.raises(EngineError, match="not ground"):
+        derive_rights("mario", "s", kb, parse_facts("person(mario).\n"))

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from lexplain.engine import ground_oracle, solve
+from lexplain.engine import derive_rights, ground_oracle, solve
 from lexplain.kb import Term
 
 from conftest import GOAL_PREDICATES, SCHEMA_CONSTANTS, random_fact_set
@@ -51,6 +51,50 @@ def test_proofs_replay_against_oracle(
                 assert proof_replayer(tree, kb, facts, atoms), (
                     f"proof of {atom} failed replay"
                 )
+
+
+def _atoms_with(atoms, functor: str, position: int, *args: str) -> list[Term]:
+    """The functor/5 atoms whose arguments from position on begin with
+    args, sorted."""
+    return sorted(
+        (
+            a for a in atoms
+            if a.predicate == (functor, 5)
+            and a.args[position : position + len(args)] == args
+        ),
+        key=str,
+    )
+
+
+@pytest.mark.parametrize("kb_fixture", ["eu_kb", "pl_kb"])
+def test_derived_rights_and_attachments_agree_with_oracle(kb_fixture, request):
+    kb = request.getfixturevalue(kb_fixture)
+    (source,) = kb.sources
+    rng = random.Random(f"rights-{kb_fixture}")
+    cases_with_a_right = 0
+    for _ in range(40):
+        # Sparser random cases hardly ever derive a right.
+        facts = random_fact_set(rng, 150)
+        atoms = ground_oracle(kb, facts)
+        derived = False
+        for person in ("mario", "anna"):
+            bundles = derive_rights(person, source.id, kb, facts)
+            derived = derived or bool(bundles)
+            conclusions = [b.primary.literal.term for b in bundles]
+            assert sorted(conclusions, key=str) == _atoms_with(
+                atoms, "has_right", 3, person
+            )
+            for b in bundles:
+                for functor, trees in (
+                    ("auxiliary_right", b.auxiliaries),
+                    ("right_property", b.properties),
+                ):
+                    attached = [t.literal.term for t in trees]
+                    assert sorted(attached, key=str) == _atoms_with(
+                        atoms, functor, 1, b.article, person
+                    )
+        cases_with_a_right += derived
+    assert cases_with_a_right >= 8
 
 
 def test_oracle_monotone_over_naf_free_additions(pl_kb, mario_facts):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -106,6 +107,14 @@ def test_tab_rejected(listing1_text):
     assert "tab" in str(err.value)
 
 
+def test_indented_title_names_its_line(listing1_text):
+    for title, line in (("Article 3", 3), ("Article 4", 19)):
+        broken = listing1_text.replace(f"\n{title}\n", f"\n  {title}\n", 1)
+        with pytest.raises(TraceParseError, match="display title") as err:
+            parse_trace(broken)
+        assert err.value.line == line
+
+
 def test_unknown_section_header_rejected(listing2_text):
     broken = listing2_text.replace("Auxiliaries:", "Extras:", 1)
     with pytest.raises(TraceParseError) as err:
@@ -184,15 +193,14 @@ def test_render_guards_against_bad_titles(listing1_doc):
 
     bundle = listing1_doc.bundle
     for title in ("", "two\nlines", " padded "):
-        broken = TraceBundle(
-            source_id=bundle.source_id,
-            article=bundle.article,
-            title=title,
-            option=bundle.option,
-            explanation=bundle.explanation,
-        )
         with pytest.raises(TraceError):
-            render_document(broken)
+            TraceBundle(
+                source_id=bundle.source_id,
+                article=bundle.article,
+                title=title,
+                option=bundle.option,
+                explanation=bundle.explanation,
+            )
 
 
 def test_render_guards_against_non_canonical_nodes():
@@ -366,3 +374,41 @@ def test_parse_trace_raises_only_trace_error(text):
     except TraceError:
         return
     assert render_document(doc.bundle) == text
+
+
+FIELD_TEXT = st.one_of(
+    st.text(),
+    st.text(alphabet="aZ9_ -\t\n", max_size=6),
+    st.from_regex(r"[a-z][a-z0-9_]{0,5}", fullmatch=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from(["source_id", "article", "title", "option"]),
+    FIELD_TEXT,
+    st.sampled_from(["article", "right_type", "value", "title"]),
+    FIELD_TEXT,
+)
+def test_every_constructed_bundle_round_trips(
+    seed, bundle_field, bundle_text, section_field, section_text
+):
+    """Whatever text the header fields hold, a bundle is either rejected
+    when it is built or renders to a document that parses back equal."""
+    generated = random_bundle(random.Random(seed))
+    edit = {section_field: section_text}
+    try:
+        bundle = dataclasses.replace(
+            generated,
+            auxiliaries=tuple(
+                dataclasses.replace(s, **edit) for s in generated.auxiliaries
+            ),
+            properties=tuple(
+                dataclasses.replace(s, **edit) for s in generated.properties
+            ),
+            **{bundle_field: bundle_text},
+        )
+    except TraceError:
+        return
+    assert parse_trace(render_document(bundle)).bundle == bundle
