@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from statistics import fmean
 
-from .trace import TraceDocument, extract_terms, parse_term_cached
+from .trace import TraceDocument, parse_term_cached
 
 TRANSLATION_SECTIONS = (
     "Summary",
@@ -28,7 +28,10 @@ COMPARISON_SECTIONS = (
 )
 
 _ENUM_RE = re.compile(r"^(?:[-*]+|\(?\d+[.)]|\(?[a-z][.)])\s+")
-_CANDIDATE_RE = re.compile(r"[a-z][A-Za-z0-9_]*\(")
+_WORD_RE = re.compile(r"\w*")
+_MATCH_SPACING = (
+    (" (", "("), ("( ", "("), (" )", ")"), (" ,", ","), (", ", ","), (",", ", ")
+)
 
 
 @dataclass(frozen=True)
@@ -97,15 +100,6 @@ def _normalize_heading(text: str) -> str:
     return t
 
 
-def _heading_matches(line: str, expected: str) -> bool:
-    norm_line = _normalize_heading(line)
-    norm_expected = _normalize_heading(expected).rstrip(":").rstrip()
-    if not norm_line.startswith(norm_expected):
-        return False
-    rest = norm_line[len(norm_expected):]
-    return not rest or not (rest[0].isalnum() or rest[0] == "_")
-
-
 def check_form(output: str, expected_sections: tuple[str, ...]) -> FormResult:
     """Verify the expected section headers appear, in order, exactly once.
 
@@ -115,13 +109,21 @@ def check_form(output: str, expected_sections: tuple[str, ...]) -> FormResult:
     """
     if not expected_sections:
         raise ValueError("expected_sections must be nonempty")
+    heads = [
+        (name, _normalize_heading(name).rstrip(":").rstrip())
+        for name in expected_sections
+    ]
     hits: dict[str, list[int]] = {name: [] for name in expected_sections}
     for idx, line in enumerate(output.splitlines()):
-        if not line.strip():
+        norm = _normalize_heading(line)
+        if not norm:
             continue
-        for name in expected_sections:
-            if _heading_matches(line, name):
-                hits[name].append(idx)
+        for name, head in heads:
+            if norm.startswith(head):
+                # the header must not run on into a longer word
+                after = norm[len(head) : len(head) + 1]
+                if not (after.isalnum() or after == "_"):
+                    hits[name].append(idx)
     violations: list[str] = []
     for name in expected_sections:
         if not hits[name]:
@@ -146,44 +148,17 @@ def check_form(output: str, expected_sections: tuple[str, ...]) -> FormResult:
 
 
 def _normalize_for_match(text: str) -> str:
-    text = re.sub(r"\s*\(\s*", "(", text)
-    text = re.sub(r"\s*\)", ")", text)
-    text = re.sub(r"\s*,\s*", ", ", text)
-    return re.sub(r"\s+", " ", text)
-
-
-def _term_parts(text: str) -> tuple[str, int]:
-    if "(" not in text:
-        return text, 0
-    functor = text[: text.index("(")]
-    inner = text[text.index("(") + 1 : -1]
-    depth = 0
-    count = 1
-    for ch in inner:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            count += 1
-    return functor, count
-
-
-def _restatements(trace: TraceDocument) -> dict[str, str]:
-    """Map each inner restatement (same functor, arity one less, directly
-    under a section conclusion) to that conclusion; citing the conclusion
-    counts as citing the restatement."""
-    mapping: dict[str, str] = {}
-    trees = [trace.bundle.explanation]
-    trees += [s.tree for s in trace.bundle.auxiliaries]
-    trees += [s.tree for s in trace.bundle.properties]
-    for root, *nodes in trees:
-        functor, arity = _term_parts(root.term)
-        for child in nodes:
-            parts = _term_parts(child.term)
-            if child.depth == 1 and parts == (functor, arity - 1):
-                mapping[child.term] = root.term
-    return mapping
+    """Collapse each whitespace run to one space, drop the spaces around
+    ``(`` and before ``)`` and ``,``, and put one space after each comma."""
+    words = text.split()
+    squeezed = " ".join(words)
+    if text[:1].isspace():
+        squeezed = " " + squeezed
+    if words and text[-1:].isspace():
+        squeezed += " "
+    for old, new in _MATCH_SPACING:
+        squeezed = squeezed.replace(old, new)
+    return squeezed
 
 
 def check_completeness(
@@ -195,27 +170,20 @@ def check_completeness(
     conclusion is cited.
     """
     normalized = _normalize_for_match(output)
-    restated = _restatements(trace)
-    required: list[str] = []
-    seen: set[str] = set()
-    for node in extract_terms(trace):
-        if node.term not in seen:
-            seen.add(node.term)
-            required.append(node.term)
-
-    def cited(term_text: str) -> bool:
-        if term_text in normalized:
-            return True
-        wrapper = restated.get(term_text)
-        return wrapper is not None and wrapper in normalized
-
-    cited_terms = tuple(t for t in required if cited(t))
-    missing = tuple(t for t in required if not cited(t))
+    required, restated = trace.terms, trace.restatements
+    cited_terms: list[str] = []
+    missing: list[str] = []
+    for term in required:
+        wrapper = restated.get(term)
+        if term in normalized or (wrapper is not None and wrapper in normalized):
+            cited_terms.append(term)
+        else:
+            missing.append(term)
     coverage = len(cited_terms) / len(required) if required else 1.0
     return CompletenessResult(
-        required_terms=tuple(required),
-        cited_terms=cited_terms,
-        missing_terms=missing,
+        required_terms=required,
+        cited_terms=tuple(cited_terms),
+        missing_terms=tuple(missing),
         coverage=coverage,
     )
 
@@ -232,13 +200,17 @@ def scan_output_terms(text: str) -> list[str]:
     """
     found: list[str] = []
     memo: dict[int, tuple[str, int] | None] = {}
-    for match in _CANDIDATE_RE.finditer(text):
-        start = match.start()
-        if start > 0 and (text[start - 1].isalnum() or text[start - 1] == "_"):
-            continue
-        parsed = parse_term_cached(text, start, memo)
+    # A term can only start where the whole word before a "(" starts. The
+    # word is matched in the reversed text, so each "(" costs one match
+    # instead of one regex attempt per letter of the output.
+    backwards = text[::-1]
+    pos = text.find("(")
+    while pos != -1:
+        word = _WORD_RE.match(backwards, len(text) - pos).group()
+        parsed = parse_term_cached(text, pos - len(word), memo)
         if parsed is not None:
             found.append(parsed[0])
+        pos = text.find("(", pos + 1)
     return found
 
 
@@ -247,11 +219,7 @@ def check_groundedness(
 ) -> GroundednessResult:
     """Flag term-shaped references that do not occur in the trace
     (negation bodies count as known subterms)."""
-    known: set[str] = set()
-    for node in extract_terms(trace):
-        known.add(node.term)
-        if node.term.startswith("not(") and node.term.endswith(")"):
-            known.add(node.term[4:-1])
+    known = trace.known_terms
     hallucinated = dict.fromkeys(
         candidate
         for candidate in scan_output_terms(output)

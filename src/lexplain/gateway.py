@@ -15,9 +15,10 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 DEFAULT_BASE_URL = "https://api.openai.com/v1/chat/completions"
 API_KEY_ENV = "LLM_API_KEY"
@@ -113,7 +114,8 @@ class HttpCompletionClient:
 
     Retries (up to ``MAX_RETRIES`` extra attempts, exponential backoff)
     only on retryable failures; completions at temperature 0 are treated
-    as idempotent. Safe for concurrent ``complete`` calls.
+    as idempotent. Safe for concurrent ``complete`` calls. ``requests`` is
+    imported only when a client is built, so offline runs never load it.
     """
 
     def __init__(
@@ -121,6 +123,7 @@ class HttpCompletionClient:
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
+        import requests
         self._session = session or requests.Session()
         self._sleep = sleep
 
@@ -144,6 +147,7 @@ class HttpCompletionClient:
     def _request(
         self, prompt: str, config: LlmConfig, api_key: str
     ) -> LlmResponse:
+        import requests
         payload = {
             "model": config.model_id,
             "temperature": config.temperature,

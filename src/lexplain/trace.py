@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NoReturn
 
 from .engine import FACT, NAF, RULE, ProofTree, RightsBundle
@@ -55,6 +56,11 @@ class TraceNode:
     def __post_init__(self):
         if self.kind not in (RULE, FACT, NAF):
             raise TraceError(f"unknown trace node kind: {self.kind!r}")
+        # the rendered line carries the kind only as this prefix and [FACT]
+        if (self.kind == NAF) != self.term.startswith("not("):
+            raise TraceError(
+                f"{self.kind} node disagrees with its term text: {self.term!r}"
+            )
         if canonical_term_text(self.term) != self.term:
             raise TraceError(f"non-canonical term text: {self.term!r}")
 
@@ -140,8 +146,49 @@ class TraceBundle:
 
 @dataclass(frozen=True)
 class TraceDocument:
+    """A trace's text and bundle; the term views are computed once each."""
+
     raw_text: str
     bundle: TraceBundle
+
+    @cached_property
+    def terms(self) -> tuple[str, ...]:
+        """Distinct node terms, in document order."""
+        return tuple(dict.fromkeys(node.term for node in extract_terms(self)))
+
+    @cached_property
+    def known_terms(self) -> frozenset[str]:
+        """Every node term, and the body of every ``not(...)`` term."""
+        bodies = (t[4:-1] for t in self.terms if t.startswith("not("))
+        return frozenset(self.terms).union(bodies)
+
+    @cached_property
+    def restatements(self) -> dict[str, str]:
+        """Map each inner restatement (same functor, arity one less, directly
+        under a section conclusion) to that conclusion."""
+        bundle = self.bundle
+        trees = [bundle.explanation]
+        trees += [s.tree for s in bundle.auxiliaries + bundle.properties]
+        mapping: dict[str, str] = {}
+        for root, *nodes in trees:
+            functor, arity = _term_parts(root.term)
+            for child in nodes:
+                parts = _term_parts(child.term)
+                if child.depth == 1 and parts == (functor, arity - 1):
+                    mapping[child.term] = root.term
+        return mapping
+
+
+def _term_parts(text: str) -> tuple[str, int]:
+    """Functor and arity of canonical term text."""
+    functor, _, args = text.partition("(")
+    depth, arity = 0, int(bool(args))
+    for ch in args[:-1]:
+        if ch in "()":
+            depth += 1 if ch == "(" else -1
+        elif ch == "," and depth == 0:
+            arity += 1
+    return functor, arity
 
 
 # --- canonical term text ----------------------------------------------------

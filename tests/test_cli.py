@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -12,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lexplain import fixtures
+from lexplain import trace as trace_module
 from lexplain.cli import (
     EXIT_DATA,
     EXIT_GATEWAY,
@@ -386,6 +391,139 @@ def test_compare_pins_persisted_json_key_order(workdir):
             "runs", "form_pass_rate", "coverage_min", "coverage_mean",
             "coverage_max", "hallucinated_runs",
         ]
+
+
+# SHA-256 of every file one 10-repetition compare writes over the shipped
+# mock chain, run_NNN.json without its created_at line.
+COMPARE_DIGESTS = {
+    "run_000.directive_2010_64.report.json":
+        "61ff579e23145d7e92ebec5b82db71c6bd5a9e601d3c261b562bb8c232bced43",
+    "run_000.directive_2010_64_pl.report.json":
+        "40449956f54c6da23eba24f3ddb32b797bfa0767217468e89e42291976a6b41b",
+    "run_000.json":
+        "3454b973dc76d73a9030e59602963001ef865eddc9db514555b95ae2b38265a5",
+    "run_001.directive_2010_64.report.json":
+        "4ed149cc462d78c27e3bf7823ed5a1346df84bfae673d47a54bdae4f63c06cde",
+    "run_001.directive_2010_64_pl.report.json":
+        "908ebb7c785082f7b11e64426db07c88df4b22b6c14ffda7c2b81c5c9829e053",
+    "run_001.json":
+        "d0b8af29ca541f5326219dc449cf44e2c1441604de65ed07bbf9d99b8431f221",
+    "run_002.directive_2010_64.report.json":
+        "55adcca305375cde907813d6509a4950a3a786e04c98cb227ab23611e5be4342",
+    "run_002.directive_2010_64_pl.report.json":
+        "b6c93e912321a881517914d299a593017b66f50fe173a0bc1c4d8298d0fb1e17",
+    "run_002.json":
+        "e7040fcf265609aa5b35cfe879ff7d53e9b7f9a82213a739f239506cb9e6e5b3",
+    "run_003.directive_2010_64.report.json":
+        "6d09e736526e6534e5ba5270856416a801b06f875216610d552dfa50b8e5418d",
+    "run_003.directive_2010_64_pl.report.json":
+        "f8147da604c3acbff582ef4ea935bfa7f69b9c7704395a5a91a3028c4dbea1f9",
+    "run_003.json":
+        "79ab3280137f01579f2863f2a315e79b42423bc7799f91c8e64cc6c7691d3a69",
+    "run_004.directive_2010_64.report.json":
+        "c878c4a501ef7aec497a2b7ad2e2453bff4aa4faedf8c52d59cd013cc610e206",
+    "run_004.directive_2010_64_pl.report.json":
+        "34888eaed60b57a76cb457a2732d018b9a61d5ee4aa61005b43a949edb5f4d65",
+    "run_004.json":
+        "29de43e6ddd20e6023e7852a2297ae8dfc4778a7b18398e1d0260136f54507aa",
+    "run_005.directive_2010_64.report.json":
+        "f2a59954563e6cb0f15989b0345d0f1802633cf9aad4d1d6901fd21be223f888",
+    "run_005.directive_2010_64_pl.report.json":
+        "da92e62b9a30cd476dbfeeacddd131e0ba60b7636aa2065b7acb74f403477881",
+    "run_005.json":
+        "b98746390904e2acaa3744b2ad53a6bcd326124aed8e50407156983b1ab63509",
+    "run_006.directive_2010_64.report.json":
+        "5f9145a6fe7e6dd5cedd16d2364561def1d7ef4d2c13e0af8a095c77b3f963b1",
+    "run_006.directive_2010_64_pl.report.json":
+        "f2b771794f27963ab1a00c6001b54fd1ccd592cf76c6c9177019c584f5372c2c",
+    "run_006.json":
+        "a7fa00383f730e6c9a77b38837bee94bad4e7094f06d97c83adf5825a6e6f5a1",
+    "run_007.directive_2010_64.report.json":
+        "a9ab0904b72ca71d865ccb7c19bbc1af3d6abdcfb18f1a7093223c9de6648be1",
+    "run_007.directive_2010_64_pl.report.json":
+        "9a203c74f29d480c96f9e93231f156aa73e60942339718eab6f9c54d505f4d99",
+    "run_007.json":
+        "ede237d3473a773c9cf50d8226c3711374611876d267d90fc41b690b5d598ff2",
+    "run_008.directive_2010_64.report.json":
+        "9a03a979567ab09d633fef44211211fc7550038b12c1fba5ff4eb2cc7d580bdc",
+    "run_008.directive_2010_64_pl.report.json":
+        "436479a6a8e57a11d05ade445cccda9af84d443373f6e6a661f6595eaa069411",
+    "run_008.json":
+        "061dc97a6f4ead65f9344f15d8e194c03e6dffbeef8afbb41e7f6597aa76b3ef",
+    "run_009.directive_2010_64.report.json":
+        "ccc7efb42340031601266b47a467219a2b464c49b914bf27452cd9f7a9e0b6ac",
+    "run_009.directive_2010_64_pl.report.json":
+        "5476ab7773b658121421a806021d2899327bd37216758979b6de204d70bbf4fd",
+    "run_009.json":
+        "37b65d2a44dc588e8ddaa4dfc67f021168646c0f98e0be219163b20473d8bb17",
+    "stability.json":
+        "6fca86c6de84e33dd46fc4fbdee8747a8e77159fb8f2e73b1861945e00c6ca80",
+}
+
+
+def test_compare_writes_pinned_bytes(workdir):
+    out = workdir / "out"
+    status = main(
+        ["compare", *_common(workdir, "eu.rules", "pl.rules"),
+         "--source", "directive_2010_64", "--source", "directive_2010_64_pl",
+         "--mock-dir", str(fixtures.mock_chain_dir()),
+         "--repetitions", "10", "--out", str(out)]
+    )
+    assert status == EXIT_OK
+    digests = {}
+    for path in out.iterdir():
+        data = path.read_bytes()
+        if re.fullmatch(r"run_\d{3}\.json", path.name):
+            data = re.sub(rb',\n  "created_at": "[^"]*"', b"", data, count=1)
+        digests[path.name] = hashlib.sha256(data).hexdigest()
+    assert digests == COMPARE_DIGESTS
+
+
+def test_compare_reads_each_trace_terms_once(workdir, monkeypatch):
+    # 10 repetitions evaluate 20 outputs; each trace's terms are read once
+    calls = []
+    extract_terms = trace_module.extract_terms
+
+    def counting(doc):
+        calls.append(doc)
+        return extract_terms(doc)
+
+    monkeypatch.setattr(trace_module, "extract_terms", counting)
+    status = main(
+        ["compare", *_common(workdir, "eu.rules", "pl.rules"),
+         "--source", "directive_2010_64", "--source", "directive_2010_64_pl",
+         "--mock-dir", str(workdir / "mock"),
+         "--repetitions", "10", "--out", str(workdir / "out")]
+    )
+    assert status == EXIT_OK
+    assert len(calls) == 2
+    assert calls[0].bundle.source_id == "directive_2010_64"
+    assert calls[1].bundle.source_id == "directive_2010_64_pl"
+
+
+def test_offline_runs_never_import_requests(workdir):
+    # only building the HTTP client imports requests
+    argv = ["compare", *_common(workdir, "eu.rules", "pl.rules"),
+            "--source", "directive_2010_64", "--source", "directive_2010_64_pl",
+            "--mock-dir", str(workdir / "mock"), "--out", str(workdir / "out")]
+    script = (
+        "import sys\n"
+        "import lexplain, lexplain.cli\n"
+        "print('requests' in sys.modules)\n"
+        f"print(lexplain.cli.main({argv!r}))\n"
+        "print('requests' in sys.modules)\n"
+    )
+    src = Path(fixtures.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    # after the import; then main's output path, its status, and after it
+    assert [lines[0], *lines[-2:]] == ["False", str(EXIT_OK), "False"]
 
 
 UNDECODABLE = b"p(\xff).\n"

@@ -3,6 +3,8 @@ replayed over the reference outputs."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 from lexplain.evaluation import (
     COMPARISON_SECTIONS,
     TRANSLATION_SECTIONS,
+    FormResult,
+    _normalize_for_match,
     check_completeness,
     check_form,
     check_groundedness,
@@ -19,6 +23,7 @@ from lexplain.evaluation import (
     scan_output_terms,
     stability,
 )
+from lexplain.trace import parse_term_cached
 
 MISSED_INFERENCE = "essential_document(art3_2, mario, documents)"
 
@@ -81,7 +86,102 @@ def test_form_rejects_empty_expectations(eu_output):
         check_form(eu_output, ())
 
 
+_REFERENCE_ENUM_RE = re.compile(r"^(?:[-*]+|\(?\d+[.)]|\(?[a-z][.)])\s+")
+
+
+def _reference_heading(text):
+    t = text.strip().lower()
+    match = _REFERENCE_ENUM_RE.match(t)
+    return t[match.end():] if match else t
+
+
+def _reference_form(output, expected_sections):
+    """The earlier check_form: every line against every expected header,
+    both normalized again for each pair."""
+
+    def matches(line, expected):
+        norm_line = _reference_heading(line)
+        norm_expected = _reference_heading(expected).rstrip(":").rstrip()
+        if not norm_line.startswith(norm_expected):
+            return False
+        rest = norm_line[len(norm_expected):]
+        return not rest or not (rest[0].isalnum() or rest[0] == "_")
+
+    hits = {name: [] for name in expected_sections}
+    for idx, line in enumerate(output.splitlines()):
+        if not line.strip():
+            continue
+        for name in expected_sections:
+            if matches(line, name):
+                hits[name].append(idx)
+    violations = []
+    for name in expected_sections:
+        if not hits[name]:
+            violations.append(f"missing section: {name}")
+        elif len(hits[name]) > 1:
+            violations.append(f"duplicate section: {name}")
+    present = [name for name in expected_sections if hits[name]]
+    order = [hits[name][0] for name in present]
+    if order != sorted(order):
+        violations.append("sections out of order: " + ", ".join(present))
+    found = tuple(sorted(present, key=lambda n: hits[n][0]))
+    return FormResult(found, not violations, tuple(violations))
+
+
+_HEADING_LINES = st.sampled_from([
+    "Summary", "summary:", "1. Summary", "(2) SUMMARY :", "Summaryish",
+    "Summary_x", "- What Rights do You Have:", "* what rights do you have",
+    "b) Why do You Have Them", "Why do You Have Them:x",
+    "1. Comparison of differences", "2. potential consequences:",
+    "", "   ", "-", "- ", "1.",
+])
+_SECTIONS = st.one_of(
+    st.just(TRANSLATION_SECTIONS),
+    st.just(COMPARISON_SECTIONS),
+    st.lists(st.one_of(_HEADING_LINES, st.text(max_size=8)), min_size=1,
+             max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(_HEADING_LINES, st.text(max_size=12)), max_size=12),
+    st.sampled_from(["\n", "\r\n", "\x1c", "\u2028", " "]),
+    _SECTIONS,
+)
+def test_form_equals_pairwise_reference(lines, separator, sections):
+    output = separator.join(lines)
+    assert check_form(output, sections) == _reference_form(output, sections)
+
+
 # --- completeness -----------------------------------------------------------
+
+
+def _reference_normalize(text):
+    """The earlier four-pass regex canonicalization."""
+    text = re.sub(r"\s*\(\s*", "(", text)
+    text = re.sub(r"\s*\)", ")", text)
+    text = re.sub(r"\s*,\s*", ", ", text)
+    return re.sub(r"\s+", " ", text)
+
+
+_SPACES = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000"
+_PUNCTUATION_TEXT = st.lists(
+    st.sampled_from(["(", ")", ",", "a", "p(", *_SPACES, "  "]), max_size=30
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.text(alphabet=_SPACES, max_size=3),
+    st.one_of(st.text(), _PUNCTUATION_TEXT),
+    st.text(alphabet=_SPACES, max_size=3),
+)
+def test_normalization_equals_regex_reference(lead, body, trail):
+    text = lead + body + trail
+    assert _normalize_for_match(text) == _reference_normalize(text)
+
+
 
 
 def test_pl_output_is_complete(pl_output, listing2_doc):
@@ -194,6 +294,35 @@ def test_scan_handles_deep_nesting():
     assert found[-1] == "f(a)"
     assert scan_output_terms(deep[:-1])[0] == deep[2:-1]
     assert scan_output_terms("f(" * depth + "a") == []
+
+
+def _reference_scan(text):
+    """The earlier candidate search: every regex match not preceded by a
+    word character."""
+    found, memo = [], {}
+    for match in re.finditer(r"[a-z][A-Za-z0-9_]*\(", text):
+        start = match.start()
+        if start > 0 and (text[start - 1].isalnum() or text[start - 1] == "_"):
+            continue
+        parsed = parse_term_cached(text, start, memo)
+        if parsed is not None:
+            found.append(parsed[0])
+    return found
+
+
+_TERM_TEXT = st.lists(
+    st.sampled_from(
+        ["(", ")", ",", " ", "\n", "a", "bc", "Q", "7", "_", "\xe9", "\xb2",
+         "p(", "not(", "f(a)", "g(a, b)", "X(", "_q(", "1r(", "aB(", "r1("]
+    ),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(), _TERM_TEXT))
+def test_scan_equals_regex_reference(text):
+    assert scan_output_terms(text) == _reference_scan(text)
 
 
 def test_scan_ignores_english_parentheticals():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexplain.engine import FACT, RULE, derive_rights
+from lexplain.engine import FACT, NAF, RULE, derive_rights
 from lexplain.trace import (
     CONCLUSION,
     FACT_LEAF,
@@ -227,6 +227,15 @@ def test_constructors_check_tree_shape(tree, message):
     assert not isinstance(err.value, TraceParseError)
     with pytest.raises(TraceError, match=message):
         TraceSection("a1", "cost", "state", "Article 1", tree)
+
+
+@pytest.mark.parametrize(
+    "term, kind", [("not(p)", RULE), ("p", NAF), ("not(p)", FACT)]
+)
+def test_node_kind_must_agree_with_its_text(term, kind):
+    # each of these would render a line that parses back differently
+    with pytest.raises(TraceError, match="disagrees with its term text"):
+        TraceBundle("s", "a1", "Article 1", "opt", (TraceNode(term, kind, 0),))
 
 
 def test_minimal_document_round_trip():
