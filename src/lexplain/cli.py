@@ -184,6 +184,13 @@ def _derive_trace(
     bundles = derive_rights(person, source_id, kb, facts)
     if not bundles:
         return None
+    if len(bundles) > 1:
+        # one trace per source feeds the chain; picking one would hide the rest
+        articles = ", ".join(b.article for b in bundles)
+        raise UsageError(
+            f"{person} has {len(bundles)} rights under {source_id} "
+            f"(primary articles: {articles}); run solve to write every trace"
+        )
     return render_trace(bundles[0], kb)
 
 

@@ -23,6 +23,8 @@ from .kb import (
     Literal,
     Term,
     Variable,
+    _trusted_term,
+    _trusted_variable,
     format_literal,
     format_term,
     is_identifier,
@@ -222,7 +224,10 @@ def _unify_terms(goal: Term, head: Term, bindings: dict) -> dict | None:
 
 
 def _resolve_term(term: Term, bindings: _Bindings) -> Term:
-    return Term(term.functor, tuple(_walk(a, bindings) for a in term.args))
+    # bindings map names to arguments of checked terms
+    return _trusted_term(
+        term.functor, tuple(_walk(a, bindings) for a in term.args)
+    )
 
 
 def _resolve_tree(tree: ProofTree, bindings: _Bindings) -> ProofTree:
@@ -244,10 +249,10 @@ class _Context:
         tag = self._fresh
 
         def rn(term: Term) -> Term:
-            return Term(
+            return _trusted_term(
                 term.functor,
                 tuple(
-                    Variable(f"_{tag}_{a.name}")
+                    _trusted_variable(f"_{tag}_{a.name}")
                     if isinstance(a, Variable)
                     else a
                     for a in term.args

@@ -3,7 +3,9 @@
 The fragment is deliberately small: function-free terms over constants and
 variables, negation as failure in rule bodies only. Everything is immutable
 and validated at construction time, so a KnowledgeBase that exists is safe
-to reason over and to share across threads.
+to reason over and to share across threads. The engine alone builds terms
+and variables through ``_trusted_term`` and ``_trusted_variable``, from
+parts that checked objects already hold.
 """
 
 from __future__ import annotations
@@ -70,12 +72,16 @@ PREDICATE_SCHEMA: dict[tuple[str, int], str] = {
 
 @dataclass(frozen=True)
 class Variable:
-    """A logic variable; names are uppercase-initial by convention."""
+    """A logic variable with an uppercase-initial name.
+
+    Names that start with ``_`` belong to the engine's renamed clause
+    variables and cannot be built here, so no goal can alias them.
+    """
 
     name: str
 
     def __post_init__(self):
-        if not is_variable_name(self.name) and not self.name.startswith("_"):
+        if not is_variable_name(self.name):
             raise KbError(f"invalid variable name: {self.name!r}")
 
     def __str__(self) -> str:
@@ -122,6 +128,23 @@ class Term:
 
     def __str__(self) -> str:
         return format_term(self)
+
+
+# The trusted constructors skip __post_init__. Callers pass only parts taken
+# from checked terms and variables, or a renamed ``_{tag}_{name}`` variable.
+
+
+def _trusted_variable(name: str) -> Variable:
+    variable = object.__new__(Variable)
+    object.__setattr__(variable, "name", name)
+    return variable
+
+
+def _trusted_term(functor: str, args: tuple[TermArg, ...]) -> Term:
+    term = object.__new__(Term)
+    object.__setattr__(term, "functor", functor)
+    object.__setattr__(term, "args", args)
+    return term
 
 
 @dataclass(frozen=True)

@@ -56,11 +56,7 @@ class TraceNode:
     def __post_init__(self):
         if self.kind not in (RULE, FACT, NAF):
             raise TraceError(f"unknown trace node kind: {self.kind!r}")
-        # the rendered line carries the kind only as this prefix and [FACT]
-        if (self.kind == NAF) != self.term.startswith("not("):
-            raise TraceError(
-                f"{self.kind} node disagrees with its term text: {self.term!r}"
-            )
+        _check_kind(self.term, self.kind)
         if canonical_term_text(self.term) != self.term:
             raise TraceError(f"non-canonical term text: {self.term!r}")
 
@@ -74,6 +70,12 @@ class TraceNode:
         if self.kind == NAF:
             return NAF_LEAF
         return INTERMEDIATE
+
+
+def _check_kind(term: str, kind: str) -> None:
+    # the rendered line carries the kind only as this prefix and [FACT]
+    if (kind == NAF) != term.startswith("not("):
+        raise TraceError(f"{kind} node disagrees with its term text: {term!r}")
 
 
 def _check_tree(tree: tuple[TraceNode, ...], first_line: int | None) -> None:
@@ -312,10 +314,19 @@ def render_document(bundle: TraceBundle) -> str:
 
 
 def _nodes_from_proof(root: ProofTree) -> tuple[TraceNode, ...]:
-    return tuple(
-        TraceNode(format_literal(node.literal), node.kind, depth)
-        for depth, node in root.nodes()
-    )
+    """The tree's lines, built without re-parsing their text: a bundle's
+    trees are ground, and format_literal of a ground literal is canonical.
+    Only the kind check runs, since a term's functor may be ``not``."""
+    nodes = []
+    for depth, proof in root.nodes():
+        term = format_literal(proof.literal)
+        _check_kind(term, proof.kind)
+        node = object.__new__(TraceNode)
+        object.__setattr__(node, "term", term)
+        object.__setattr__(node, "kind", proof.kind)
+        object.__setattr__(node, "depth", depth)
+        nodes.append(node)
+    return tuple(nodes)
 
 
 def render_trace(bundle: RightsBundle, kb: KnowledgeBase) -> TraceDocument:

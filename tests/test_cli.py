@@ -127,6 +127,38 @@ def test_solve_disambiguates_same_article_bundles(workdir):
     assert "Option: opt_two" in (out / "multi-a1-2.trace").read_text()
 
 
+def test_explain_and_compare_refuse_several_bundles(workdir, capsys):
+    # the chain takes one trace per source; it must not pick one silently
+    (workdir / "two.rules").write_text(
+        "%% source: two\n"
+        "%% article: a1\n"
+        "%% title: Article 1\n"
+        "has_right(r1, x, a1, P, opt) :- person_document(P, charge).\n"
+        "%% article: a2\n"
+        "%% title: Article 2\n"
+        "has_right(r2, x, a2, P, opt) :- person_document(P, charge).\n",
+        encoding="utf-8",
+    )
+    out = workdir / "out"
+    mock = ["--mock-dir", str(workdir / "mock"), "--out", str(out)]
+    explain = ["explain", *_common(workdir, "two.rules"), "--source", "two"]
+    compare = [
+        "compare", *_common(workdir, "eu.rules", "two.rules"),
+        "--source", "directive_2010_64", "--source", "two",
+    ]
+    for argv in (explain, compare):
+        assert main(argv + mock) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "mario has 2 rights under two" in err
+        assert "primary articles: a1, a2" in err
+    assert not out.exists()
+    solve = ["solve", *_common(workdir, "two.rules"), "--out", str(out)]
+    assert main(solve) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == [
+        "two-a1.trace", "two-a2.trace"
+    ]
+
+
 def test_solve_parse_error_is_status_2(workdir, capsys):
     (workdir / "broken.rules").write_text("p(X :- q.\n", encoding="utf-8")
     status = main(

@@ -26,6 +26,7 @@ from lexplain.engine import (
 )
 from lexplain.kb import (
     CaseFacts,
+    KbError,
     KnowledgeBase,
     Literal,
     Term,
@@ -139,6 +140,22 @@ def test_depth_limit_fails_loudly():
     with pytest.raises(DepthLimitError) as err:
         solve(Term("p", ("a",)), kb, CaseFacts())
     assert err.value.limit == 64
+
+
+def test_goal_variables_cannot_alias_renamed_clause_variables():
+    # Renaming the clause makes _1_A and _1_X. A goal variable named _1_X
+    # would alias the clause's X and lose the answer, so Variable rejects
+    # every name the engine's renaming can make.
+    kb = parse_rules(
+        "%% source: s\n%% article: a\n%% title: T\nr(A, X) :- s(A, X).\n"
+    )
+    facts = parse_facts("s(a, b).\n")
+    ((answer, tree),) = solve(Term("r", (V("P"), V("B"))), kb, facts)
+    assert answer.bindings == {"P": "a", "B": "b"}
+    assert format_term(tree.literal.term) == "r(a, b)"
+    for name in ("_1_X", "_ x)(", "_", "_X"):
+        with pytest.raises(KbError, match="invalid variable name"):
+            Variable(name)
 
 
 def test_fact_solutions_come_before_rule_solutions():

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
-from lexplain.engine import derive_rights, ground_oracle, solve
-from lexplain.kb import Term
+from lexplain.engine import NafNonGroundError, derive_rights, ground_oracle, solve
+from lexplain.kb import Term, Variable
+from lexplain.trace import TraceNode, extract_terms, render_trace
 
 from conftest import GOAL_PREDICATES, SCHEMA_CONSTANTS, random_fact_set
 
@@ -128,3 +130,50 @@ def test_naf_free_conclusions_survive_fact_additions(kb_fixture, request):
                 f"NAF-free conclusion {atom} lost after adding "
                 f"{sorted(map(str, extra.facts))}"
             )
+
+
+def _assert_checked_equal(term: Term) -> None:
+    """The engine builds terms without the constructor's checks; the
+    checked constructor must accept the same parts and give an equal,
+    equally hashed term."""
+    rebuilt = Term(term.functor, term.args)
+    assert rebuilt == term and hash(rebuilt) == hash(term)
+    for arg in term.args:
+        if isinstance(arg, Variable) and arg.name.startswith("_"):
+            # a renamed clause variable: _{tag}_{clause variable name}
+            assert re.fullmatch(r"_[1-9][0-9]*_[A-Z][A-Za-z0-9_]*", arg.name)
+        elif isinstance(arg, Variable):
+            assert Variable(arg.name) == arg
+
+
+@pytest.mark.parametrize("kb_fixture", ["eu_kb", "pl_kb"])
+def test_trusted_terms_and_nodes_equal_checked_ones(
+    kb_fixture, request, mario_facts
+):
+    kb = request.getfixturevalue(kb_fixture)
+    (source,) = kb.sources
+    rng = random.Random(f"rights-{kb_fixture}")
+    cases = [mario_facts] + [random_fact_set(rng, 150) for _ in range(40)]
+    free_goals = [
+        Term(f, tuple(Variable(f"V{i}") for i in range(n)))
+        for f, n in GOAL_PREDICATES
+    ]
+    for facts in cases:
+        for person in ("mario", "anna"):
+            for bundle in derive_rights(person, source.id, kb, facts):
+                for tree in (
+                    bundle.primary, *bundle.auxiliaries, *bundle.properties
+                ):
+                    for _, node in tree.nodes():
+                        _assert_checked_equal(node.literal.term)
+                for node in extract_terms(render_trace(bundle, kb)):
+                    assert TraceNode(node.term, node.kind, node.depth) == node
+        # free goals leave renamed variables in some answers
+        for goal in free_goals:
+            try:
+                results = solve(goal, kb, facts)
+            except NafNonGroundError:
+                continue
+            for _, tree in results:
+                for _, node in tree.nodes():
+                    _assert_checked_equal(node.literal.term)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexplain import trace as trace_module
 from lexplain.engine import FACT, NAF, RULE, derive_rights
 from lexplain.trace import (
     CONCLUSION,
@@ -236,6 +237,29 @@ def test_node_kind_must_agree_with_its_text(term, kind):
     # each of these would render a line that parses back differently
     with pytest.raises(TraceError, match="disagrees with its term text"):
         TraceBundle("s", "a1", "Article 1", "opt", (TraceNode(term, kind, 0),))
+
+
+def test_render_trace_does_not_reparse_engine_text(
+    eu_kb, pl_kb, mario_facts, listing1_text, listing2_text, monkeypatch
+):
+    # engine text is canonical by construction; parsed text is checked
+    calls = []
+    real = trace_module.canonical_term_text
+    monkeypatch.setattr(
+        trace_module,
+        "canonical_term_text",
+        lambda text: calls.append(text) or real(text),
+    )
+    for kb, source, golden in (
+        (eu_kb, "directive_2010_64", listing1_text),
+        (pl_kb, "directive_2010_64_pl", listing2_text),
+    ):
+        (bundle,) = derive_rights("mario", source, kb, mario_facts)
+        assert render_trace(bundle, kb).raw_text == golden
+        assert calls == []
+        lines = [node.term for node in extract_terms(parse_trace(golden))]
+        assert calls == lines
+        calls.clear()
 
 
 def test_minimal_document_round_trip():
