@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import lru_cache
 from importlib import resources
@@ -209,27 +209,89 @@ def run_repeated(
 
 
 def run_to_json(run: ChainRun) -> dict:
-    return asdict(run)
+    steps = [dict(vars(step)) for step in run.steps]
+    return {**vars(run), "config": dict(vars(run.config)), "steps": steps}
 
 
-def run_from_json(data: dict) -> ChainRun:
+# The fields of each object in a run record, with the JSON type of each.
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float)}
+_RUN_FIELDS = {"run_index": int, "config": dict, "steps": list, "created_at": str}
+_STEP_FIELDS = {f.name: _JSON_TYPES[f.type] for f in fields(ChainStep)}
+_CONFIG_FIELDS = {f.name: _JSON_TYPES[f.type] for f in fields(LlmConfig)}
+
+
+def _checked(data, types_by_key: dict, what: str) -> dict:
+    """data, once it is an object with exactly these fields, each well typed."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, not {type(data).__name__}")
+    for key in data:
+        if key not in types_by_key:
+            raise ValueError(f"{what} has an unknown field {key!r}")
+    for key, types in types_by_key.items():
+        if key not in data:
+            raise ValueError(f"{what} has no field {key!r}")
+        value = data[key]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"{what} field {key!r} is of type {type(value).__name__}")
+    return data
+
+
+def run_from_json(data) -> ChainRun:
+    """Rebuild run_to_json's record; ValueError names a malformed field."""
+    data = _checked(data, _RUN_FIELDS, "run")
     steps = tuple(
-        ChainStep(s["prompt"], s["output"], s["latency"])
-        for s in data["steps"]
+        ChainStep(**_checked(step, _STEP_FIELDS, f"step {index}"))
+        for index, step in enumerate(data["steps"])
     )
     if len(steps) != 3:
         raise ValueError(f"a chain run has 3 steps, found {len(steps)}")
     return ChainRun(
         run_index=data["run_index"],
-        config=LlmConfig(**data["config"]),
+        config=LlmConfig(**_checked(data["config"], _CONFIG_FIELDS, "config")),
         steps=steps,  # type: ignore[arg-type]
         created_at=data["created_at"],
     )
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_FLOAT_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def dumps_json(value, indent: str = "") -> str:
+    """The text json.dumps makes with indent=2, for a value on a line that
+    starts with indent, without its pure-Python encoder. Keys must be str."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_NAMES.get(text, text)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if all(isinstance(item, str) for item in value):
+            items = map(_encode_str, value)
+        else:
+            items = [dumps_json(item, inner) for item in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        # _encode_str raises TypeError on a key that is not a str
+        items = [f"{_encode_str(k)}: {dumps_json(v, inner)}" for k, v in value.items()]
+        brackets = "{}"
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    if not value:
+        return brackets
+    body = f",\n{inner}".join(items)
+    return f"{brackets[0]}\n{inner}{body}\n{indent}{brackets[1]}"
+
+
 def write_json(path: Path, data) -> None:
-    """Write data as 2-space-indented JSON with a trailing newline."""
-    path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    """Write dumps_json(data) and a newline, as ASCII bytes."""
+    path.write_bytes((dumps_json(data) + "\n").encode("ascii"))
 
 
 def save_run(run: ChainRun, directory: str | Path) -> Path:

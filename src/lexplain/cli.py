@@ -10,6 +10,7 @@ files under --out and to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -17,6 +18,7 @@ from pathlib import Path
 
 from .chain import (
     build_translation_prompt,
+    dumps_json,
     run_repeated,
     save_run,
     write_json,
@@ -296,7 +298,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     trace_doc = parse_trace(Path(args.trace_file).read_text(encoding="utf-8"))
     sections = tuple(args.sections) if args.sections else TRANSLATION_SECTIONS
     data = report_to_json(evaluate(output_text, trace_doc, sections))
-    print(json.dumps(data, indent=2))
+    print(dumps_json(data))
     if args.out is not None:
         write_json(Path(args.out), data)
     return EXIT_OK
@@ -372,10 +374,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves them all
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ marking negation as failure. Facts files hold one ground term per line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kb import (
     CaseFacts,
@@ -25,7 +25,12 @@ from .kb import (
 )
 
 _METADATA_RE = re.compile(r"\s*%%\s*([a-z_]+)\s*:\s*(.*?)\s*$")
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# One match per token, tried in this order: '%', which starts a comment
+# that runs to the end of the line, ':-' or punctuation, a word, or any
+# other character but a blank, which is an error. Blanks match nothing,
+# so finditer skips them.
+_TOKEN_RE = re.compile(r"(%)|(:-|[(),.])|([A-Za-z][A-Za-z0-9_]*)|([^ \t\r])")
+_PUNCT_KINDS = {":-": "IMPLIES", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT"}
 
 _METADATA_KEYS = ("source", "jurisdiction", "article", "title")
 
@@ -40,8 +45,7 @@ class DslError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # IDENT, VAR, LPAREN, RPAREN, COMMA, DOT, IMPLIES
     value: str
     line: int
@@ -49,31 +53,17 @@ class _Token:
 
 
 def _tokenize_line(text: str, line_no: int, out: list[_Token]) -> None:
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch in " \t\r":
-            pos += 1
-            continue
-        if ch == "%":
+    for match in _TOKEN_RE.finditer(text):
+        group, value, col = match.lastindex, match.group(), match.start() + 1
+        if group == 2:
+            out.append(_Token(_PUNCT_KINDS[value], value, line_no, col))
+        elif group == 3:
+            kind = "VAR" if value[0].isupper() else "IDENT"
+            out.append(_Token(kind, value, line_no, col))
+        elif group == 4:
+            raise DslError(f"unexpected character {value!r}", line_no, col)
+        else:
             return  # rest of line is a comment
-        if text.startswith(":-", pos):
-            out.append(_Token("IMPLIES", ":-", line_no, pos + 1))
-            pos += 2
-            continue
-        if ch in "(),.":
-            kind = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT"}[ch]
-            out.append(_Token(kind, ch, line_no, pos + 1))
-            pos += 1
-            continue
-        match = _WORD_RE.match(text, pos)
-        if match:
-            word = match.group(0)
-            kind = "VAR" if word[0].isupper() else "IDENT"
-            out.append(_Token(kind, word, line_no, pos + 1))
-            pos = match.end()
-            continue
-        raise DslError(f"unexpected character {ch!r}", line_no, pos + 1)
 
 
 class _TokenStream:

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import functools
 import hashlib
 import json
+import operator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexplain import fixtures
 from lexplain.chain import (
@@ -15,6 +20,7 @@ from lexplain.chain import (
     build_comparison_prompt,
     build_translation_prompt,
     comparison_template,
+    dumps_json,
     load_run,
     run_chain,
     run_from_json,
@@ -23,6 +29,7 @@ from lexplain.chain import (
     save_run,
     template_hashes,
     translation_template,
+    write_json,
 )
 from lexplain.gateway import LlmConfig, MockCompletionClient, mock_from_dir
 
@@ -203,3 +210,100 @@ def test_mock_dir_drives_full_offline_chain(listing1_doc, listing2_doc):
     client = mock_from_dir(fixtures.mock_chain_dir())
     run = run_chain(listing1_doc, listing2_doc, client, CFG)
     assert run.step2_output == fixtures.comparison_output()
+
+
+_GONE = object()  # marks a field to delete
+
+# A path into a saved run record, the value to put there, and the text
+# the ValueError must contain.
+MALFORMED_RUNS = {
+    "steps is a number": (["steps"], 5, "'steps'"),
+    "two steps": (["steps", 2], _GONE, "3 steps, found 2"),
+    "step is a string": (["steps", 1], "step", "step 1 must"),
+    "step without output": (["steps", 2, "output"], _GONE, "'output'"),
+    "prompt is a number": (["steps", 0, "prompt"], 7, "'prompt'"),
+    "latency is a string": (["steps", 0, "latency"], "fast", "'latency'"),
+    "config is null": (["config"], None, "'config'"),
+    "unknown config key": (["config", "colour"], "red", "'colour'"),
+    "config without model": (["config", "model_id"], _GONE, "'model_id'"),
+    "temperature is a string": (
+        ["config", "temperature"], "hot", "'temperature'"
+    ),
+    "temperature out of range": (["config", "temperature"], 5, "temperature"),
+    "no created_at": (["created_at"], _GONE, "'created_at'"),
+    "run_index is a word": (["run_index"], "zero", "'run_index'"),
+    "run_index is a bool": (["run_index"], True, "'run_index'"),
+    "unknown field": (["extra"], 1, "'extra'"),
+}
+
+
+@pytest.mark.parametrize(
+    "path, value, field", MALFORMED_RUNS.values(), ids=list(MALFORMED_RUNS)
+)
+def test_malformed_run_record_names_the_field(
+    tmp_path, listing1_doc, listing2_doc, path, value, field
+):
+    run = run_chain(listing1_doc, listing2_doc, _chain_mock(), CFG)
+    record = copy.deepcopy(run_to_json(run))
+    *parents, last = path
+    target = functools.reduce(operator.getitem, parents, record)
+    if value is _GONE:
+        del target[last]
+    else:
+        target[last] = value
+    with pytest.raises(ValueError, match=field):
+        run_from_json(record)
+    saved = tmp_path / "run.json"
+    saved.write_text(json.dumps(record), encoding="utf-8")
+    with pytest.raises(ValueError, match=field):
+        load_run(saved)
+
+
+@pytest.mark.parametrize("record", [[], "run", None, 3])
+def test_run_record_must_be_an_object(record):
+    with pytest.raises(ValueError, match="run must be an object"):
+        run_from_json(record)
+
+
+JSON_TEXT = st.text(
+    st.one_of(
+        st.characters(),
+        st.characters(max_codepoint=0x1F),
+        st.characters(categories=["Cs"]),
+    ),
+    max_size=8,
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | JSON_TEXT,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(JSON_TEXT)
+    | st.dictionaries(JSON_TEXT, inner),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=JSON_VALUES)
+def test_write_json_matches_json_dumps(tmp_path_factory, value):
+    path = tmp_path_factory.getbasetemp() / "value.json"
+    write_json(path, value)
+    expected = json.dumps(value, indent=2)
+    assert path.read_bytes() == (expected + "\n").encode()
+    assert dumps_json(value) == expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1, 2}, b"bytes", object(), {1: "a"}, {None: 1}, [{"a": {("k",): 1}}]],
+    ids=["set", "bytes", "object", "int key", "None key", "nested tuple key"],
+)
+def test_write_json_rejects_unsupported_values(tmp_path, value):
+    with pytest.raises(TypeError):
+        write_json(tmp_path / "value.json", value)
+    assert not (tmp_path / "value.json").exists()

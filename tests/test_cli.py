@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lexplain import cli as cli_module
 from lexplain import fixtures
 from lexplain import trace as trace_module
 from lexplain.cli import (
@@ -318,6 +319,85 @@ def test_evaluate_missing_file_is_status_2(workdir, capsys):
         ["evaluate", str(workdir / "nope.txt"), str(workdir / "nope.trace")]
     )
     assert status == EXIT_DATA
+
+
+# SHA-256 of the stdout of `lexplain evaluate` on each reference output,
+# as printed when the report went through json.dumps(indent=2).
+EVALUATE_STDOUT_DIGESTS = {
+    "pl": "40449956f54c6da23eba24f3ddb32b797bfa0767217468e89e42291976a6b41b",
+    "eu": "61ff579e23145d7e92ebec5b82db71c6bd5a9e601d3c261b562bb8c232bced43",
+    "comparison":
+        "071e017232a9303f75ad1e9e6e48b36e467534b8606680f9d3a0d169a99dbb87",
+}
+
+
+@pytest.mark.parametrize("name", list(EVALUATE_STDOUT_DIGESTS))
+def test_evaluate_prints_pinned_bytes(workdir, capsys, name):
+    output, trace, extra = {
+        "pl": (fixtures.translation_output_pl(), fixtures.listing2_trace(), []),
+        "eu": (fixtures.translation_output_eu(), fixtures.listing1_trace(), []),
+        "comparison": (
+            fixtures.comparison_output(),
+            fixtures.listing1_trace(),
+            ["--sections", "1. Comparison of differences",
+             "2. Potential consequences"],
+        ),
+    }[name]
+    (workdir / "output.txt").write_text(output, encoding="utf-8")
+    (workdir / "source.trace").write_text(trace, encoding="utf-8")
+    status = main(
+        ["evaluate", str(workdir / "output.txt"), str(workdir / "source.trace"),
+         *extra]
+    )
+    assert status == EXIT_OK
+    printed = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(printed).hexdigest() == EVALUATE_STDOUT_DIGESTS[name]
+
+
+def test_main_builds_its_parser_once(workdir, monkeypatch, capsys):
+    calls = []
+    build_parser = cli_module.build_parser
+
+    def counting():
+        calls.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli_module, "build_parser", counting)
+    cli_module._parser.cache_clear()
+    trace_file = workdir / "listing1.trace"
+    trace_file.write_text(fixtures.listing1_trace(), encoding="utf-8")
+    for _ in range(3):
+        assert main(["evaluate", str(trace_file), str(trace_file)]) == EXIT_OK
+    assert main(["evaluate"]) == EXIT_USAGE
+    assert len(calls) == 1
+
+
+def test_parser_calls_share_no_state():
+    parser = cli_module._parser()
+    first = parser.parse_args(
+        ["compare", "--kb", "a", "--kb", "b", "--source", "x", "--source", "y",
+         "--repetitions", "3", "--temperature", "0.5"]
+    )
+    second = parser.parse_args(["compare", "--kb", "c", "--source", "z"])
+    assert (first.kb, first.source) == (["a", "b"], ["x", "y"])
+    assert (second.kb, second.source) == (["c"], ["z"])
+    assert second.repetitions is None and second.temperature is None
+    third = parser.parse_args(["compare"])
+    assert third.kb is None and third.source is None
+    assert first.kb == ["a", "b"]
+
+
+def test_usage_error_does_not_break_the_next_call(workdir, capsys):
+    out = workdir / "out"
+    one_source = ["solve", *_common(workdir, "eu.rules"),
+                  "--source", "directive_2010_64", "--out", str(out)]
+    every_source = ["solve", *_common(workdir, "eu.rules"), "--out", str(out)]
+    assert main(["solve", "--repetitions", "2"]) == EXIT_USAGE
+    assert main(["solve", "--source"]) == EXIT_USAGE
+    assert main(one_source) == EXIT_OK
+    assert main(every_source) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [str(out / "directive_2010_64-art3_1.trace")] * 2
 
 
 DEEP = "f(" * 3000 + "a" + ")" * 3000

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from lexplain import fixtures
 from lexplain.dsl import (
     DslError,
+    _tokenize_line,
     parse_facts,
     parse_rules,
     serialize_facts,
@@ -208,3 +211,98 @@ def test_parsers_raise_only_typed_errors(text):
             parse(text)
         except (DslError, KbError):
             pass
+
+
+_REFERENCE_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_REFERENCE_PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT"}
+
+
+def _reference_tokens(text: str, line_no: int) -> list[tuple]:
+    """The character loop the DSL tokenized lines with before its master
+    regex, kept as the reference for it."""
+    out = []
+    pos = 0
+    while pos < len(text):
+        ch = text[pos]
+        if ch in " \t\r":
+            pos += 1
+            continue
+        if ch == "%":
+            return out
+        if text.startswith(":-", pos):
+            out.append(("IMPLIES", ":-", line_no, pos + 1))
+            pos += 2
+            continue
+        if ch in "(),.":
+            out.append((_REFERENCE_PUNCT[ch], ch, line_no, pos + 1))
+            pos += 1
+            continue
+        match = _REFERENCE_WORD_RE.match(text, pos)
+        if match:
+            word = match.group(0)
+            kind = "VAR" if word[0].isupper() else "IDENT"
+            out.append((kind, word, line_no, pos + 1))
+            pos = match.end()
+            continue
+        raise DslError(f"unexpected character {ch!r}", line_no, pos + 1)
+    return out
+
+
+def _outcome(tokenize, text: str, line_no: int):
+    try:
+        return list(tokenize(text, line_no))
+    except DslError as exc:
+        return (str(exc), exc.line, exc.col)
+
+
+def _tokens(text: str, line_no: int) -> list:
+    out: list = []
+    _tokenize_line(text, line_no, out)
+    return out
+
+
+TOKENIZER_PIECES = st.sampled_from(
+    [" ", "\t", "\r", "\f", "\v", "\xa0", "\n", "%", ":", ":-", "-",
+     "(", ")", ",", ".", "_", "7", "é", "p", "X", "a1", "Ab_2", "not"]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(st.lists(TOKENIZER_PIECES).map("".join), st.text()),
+    st.integers(1, 9),
+)
+def test_tokenizer_matches_reference_loop(text, line_no):
+    assert _outcome(_tokens, text, line_no) == _outcome(
+        _reference_tokens, text, line_no
+    )
+
+
+@pytest.mark.parametrize(
+    "text", ["\t\t", "   ", "\r", " % note \t", "%\n", "% a\n)é"]
+)
+def test_tokenizer_skips_blanks_and_comments(text):
+    assert _tokens(text, 1) == []
+
+
+@pytest.mark.parametrize("text", ["p(a). \t", "p(a).\t\t", "p(a).\r"])
+def test_tokenizer_skips_trailing_blanks(text):
+    assert _tokens(text, 1) == [
+        ("IDENT", "p", 1, 1),
+        ("LPAREN", "(", 1, 2),
+        ("IDENT", "a", 1, 3),
+        ("RPAREN", ")", 1, 4),
+        ("DOT", ".", 1, 5),
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, col", [("p(a). \f", 7), ("p :\t- q.", 3), ("\xa0p.", 1), ("é", 1)]
+)
+def test_tokenizer_reports_other_characters(text, col):
+    with pytest.raises(DslError) as err:
+        _tokens(text, 2)
+    assert (err.value.line, err.value.col) == (2, col)
+    assert str(err.value) == (
+        f"line 2, column {col}: unexpected character {text[col - 1]!r}"
+    )
