@@ -213,15 +213,18 @@ def run_to_json(run: ChainRun) -> dict:
     return {**vars(run), "config": dict(vars(run.config)), "steps": steps}
 
 
-# The fields of each object in a run record, with the JSON type of each.
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float)}
-_RUN_FIELDS = {"run_index": int, "config": dict, "steps": list, "created_at": str}
+# The fields of each object in a run record, with the JSON types of each.
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
+_RUN_FIELDS = {
+    "run_index": (int,), "config": (dict,), "steps": (list,), "created_at": (str,)
+}
 _STEP_FIELDS = {f.name: _JSON_TYPES[f.type] for f in fields(ChainStep)}
 _CONFIG_FIELDS = {f.name: _JSON_TYPES[f.type] for f in fields(LlmConfig)}
 
 
 def _checked(data, types_by_key: dict, what: str) -> dict:
-    """data, once it is an object with exactly these fields, each well typed."""
+    """data, once it is an object with exactly these fields, each of one of
+    its JSON types: a tuple of Python types, or [str] for a list of strings."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be an object, not {type(data).__name__}")
     for key in data:
@@ -231,7 +234,11 @@ def _checked(data, types_by_key: dict, what: str) -> dict:
         if key not in data:
             raise ValueError(f"{what} has no field {key!r}")
         value = data[key]
-        if isinstance(value, bool) or not isinstance(value, types):
+        if types == [str]:
+            well_typed = type(value) is list and all(type(v) is str for v in value)
+        else:
+            well_typed = type(value) in types
+        if not well_typed:
             raise ValueError(f"{what} field {key!r} is of type {type(value).__name__}")
     return data
 

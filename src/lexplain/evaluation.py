@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field
 from statistics import fmean
 
+from .chain import _checked
 from .trace import TraceDocument, parse_term_cached
 
 TRANSLATION_SECTIONS = (
@@ -298,13 +299,29 @@ def report_to_json(report: EvaluationReport) -> dict:
     }
 
 
-def report_from_json(data: dict) -> EvaluationReport:
-    completeness = data["completeness"]
+# The parts of a report record, and the JSON types of each part's fields.
+_PART_FIELDS = {
+    "form": {"pass": (bool,), "sections": [str], "violations": [str]},
+    "completeness": {
+        "coverage": (int, float), "missing": [str], "required": [str], "cited": [str]
+    },
+    "groundedness": {"hallucinated": [str]},
+    "manual": {"juridical_pass": (bool, type(None)), "notes": (str,)},
+}
+_REPORT_FIELDS = {"run_index": (int,), **dict.fromkeys(_PART_FIELDS, (dict,))}
+
+
+def report_from_json(data) -> EvaluationReport:
+    """Rebuild report_to_json's record; ValueError names a malformed field."""
+    data = _checked(data, _REPORT_FIELDS, "report")
+    form, completeness, groundedness, manual = (
+        _checked(data[part], fields, part) for part, fields in _PART_FIELDS.items()
+    )
     return EvaluationReport(
         form=FormResult(
-            sections_found=tuple(data["form"]["sections"]),
-            passed=data["form"]["pass"],
-            violations=tuple(data["form"]["violations"]),
+            sections_found=tuple(form["sections"]),
+            passed=form["pass"],
+            violations=tuple(form["violations"]),
         ),
         completeness=CompletenessResult(
             required_terms=tuple(completeness["required"]),
@@ -313,12 +330,10 @@ def report_from_json(data: dict) -> EvaluationReport:
             coverage=completeness["coverage"],
         ),
         groundedness=GroundednessResult(
-            hallucinated_terms=tuple(data["groundedness"]["hallucinated"])
+            hallucinated_terms=tuple(groundedness["hallucinated"])
         ),
         run_index=data["run_index"],
         manual=ManualAnnotation(
-            juridical_pass=data["manual"]["juridical_pass"],
-            notes=data["manual"]["notes"],
+            juridical_pass=manual["juridical_pass"], notes=manual["notes"]
         ),
     )
-

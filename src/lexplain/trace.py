@@ -26,6 +26,7 @@ NAF_LEAF = "NAF_LEAF"
 
 _ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
 _SPACE = " \t\n\r"
+_KEYWORDS = ("Auxiliaries:", "Properties:")
 
 
 class TraceError(ValueError):
@@ -292,10 +293,8 @@ def render_document(bundle: TraceBundle) -> str:
     lines.append("Explanation:")
     lines.append("")
     _node_lines(bundle.explanation, lines)
-    for keyword, sections in (
-        ("Auxiliaries:", bundle.auxiliaries),
-        ("Properties:", bundle.properties),
-    ):
+    groups = (bundle.auxiliaries, bundle.properties)
+    for keyword, sections in zip(_KEYWORDS, groups):
         if not sections:
             continue
         lines.append("")
@@ -363,182 +362,122 @@ def render_trace(bundle: RightsBundle, kb: KnowledgeBase) -> TraceDocument:
 # --- parsing -----------------------------------------------------------------
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        if not text.endswith("\n"):
-            raise TraceParseError(
-                "document must end with a newline", text.count("\n") + 1
-            )
-        self.lines = text.split("\n")[:-1]
-        self.pos = 0
-
-    @property
-    def line_no(self) -> int:
-        return self.pos + 1
-
-    @property
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.lines)
-
-    def peek(self) -> str:
-        if self.exhausted:
-            raise TraceParseError("unexpected end of document", self.line_no)
-        return self.lines[self.pos]
-
-    def next(self) -> str:
-        line = self.peek()
-        if "\t" in line:
-            raise TraceParseError("tab character in trace", self.line_no)
-        if line != line.rstrip():
-            raise TraceParseError("trailing whitespace", self.line_no)
-        self.pos += 1
-        return line
-
-    def expect_blank(self) -> None:
-        line = self.next()
-        if line:
-            raise TraceParseError(
-                f"expected a blank line, found {line!r}", self.line_no - 1
-            )
-
-    def expect_nonblank(self, what: str) -> str:
-        line = self.next()
-        if not line:
-            raise TraceParseError(f"expected {what}", self.line_no - 1)
-        return line
-
-    def expect_title(self) -> str:
-        title = self.expect_nonblank("a display title")
-        try:
-            _check_header(title)
-        except TraceError as exc:
-            raise TraceParseError(str(exc), self.line_no - 1) from exc
-        return title
-
-
-def _parse_tree_line(line: str, line_no: int) -> TraceNode:
-    stripped = line.lstrip(" ")
-    indent = len(line) - len(stripped)
-    if indent % len(INDENT):
-        raise TraceParseError(
-            f"indentation of {indent} spaces is not a multiple of 4", line_no
-        )
-    if stripped.endswith(" [FACT]"):
-        term = stripped[: -len(" [FACT]")]
-        if term.startswith("not("):
-            raise TraceParseError("negated literal marked [FACT]", line_no)
-        kind = FACT
-    elif stripped.startswith("not("):
-        term = stripped
-        kind = NAF
-    else:
-        term = stripped
-        kind = RULE
-    try:
-        return TraceNode(term, kind, indent // len(INDENT))
-    except TraceError as exc:
-        raise TraceParseError(str(exc), line_no) from exc
-
-
-def _parse_tree(cursor: _Cursor) -> tuple[TraceNode, ...]:
-    first_line = cursor.line_no
-    nodes: list[TraceNode] = []
-    while not cursor.exhausted and cursor.peek():
-        line_no = cursor.line_no
-        nodes.append(_parse_tree_line(cursor.next(), line_no))
-    tree = tuple(nodes)
-    _check_tree(tree, first_line)
-    return tree
-
-
-def _parse_section(cursor: _Cursor) -> TraceSection:
-    header = cursor.expect_nonblank("a section header")
-    parts = header.split(" - ")
-    if len(parts) != 3 or not all(is_identifier(p) for p in parts):
-        raise TraceParseError(
-            f"malformed section header: {header!r}", cursor.line_no - 1
-        )
-    cursor.expect_blank()
-    title = cursor.expect_title()
-    marker = cursor.expect_nonblank("'Explanation:'")
-    if marker != "Explanation:":
-        raise TraceParseError(
-            f"expected 'Explanation:', found {marker!r}", cursor.line_no - 1
-        )
-    cursor.expect_blank()
-    tree = _parse_tree(cursor)
-    return TraceSection(parts[0], parts[1], parts[2], title, tree)
-
-
 def parse_trace(text: str) -> TraceDocument:
-    """Parse canonical trace text back into its structured bundle."""
-    cursor = _Cursor(text)
-    header = cursor.expect_nonblank("a header line")
-    parts = header.split(" - ")
-    if len(parts) != 2 or not all(is_identifier(p) for p in parts):
-        raise TraceParseError(
-            f"malformed header line: {header!r}", cursor.line_no - 1
-        )
-    source_id, article = parts
-    cursor.expect_blank()
-    title = cursor.expect_title()
-    option_line = cursor.expect_nonblank("an 'Option:' line")
-    if not option_line.startswith("Option: "):
-        raise TraceParseError(
-            f"expected 'Option: <atom>', found {option_line!r}",
-            cursor.line_no - 1,
-        )
-    option = option_line[len("Option: "):]
-    if not is_identifier(option):
-        raise TraceParseError(
-            f"option is not an atom: {option!r}", cursor.line_no - 1
-        )
-    cursor.expect_blank()
-    marker = cursor.expect_nonblank("'Explanation:'")
-    if marker != "Explanation:":
-        raise TraceParseError(
-            f"expected 'Explanation:', found {marker!r}", cursor.line_no - 1
-        )
-    cursor.expect_blank()
-    explanation = _parse_tree(cursor)
+    """Parse canonical trace text back into its structured bundle.
 
-    auxiliaries: list[TraceSection] = []
-    properties: list[TraceSection] = []
-    section = None  # None -> "Auxiliaries:" -> "Properties:"
-    while not cursor.exhausted:
-        cursor.expect_blank()
-        keyword_or_header = cursor.peek()
-        if keyword_or_header == "Auxiliaries:":
-            if section is not None:
-                raise TraceParseError(
-                    "'Auxiliaries:' must precede 'Properties:'",
-                    cursor.line_no,
-                )
-            section = auxiliaries
-            cursor.next()
-            cursor.expect_blank()
-            auxiliaries.append(_parse_section(cursor))
-        elif keyword_or_header == "Properties:":
-            section = properties
-            cursor.next()
-            cursor.expect_blank()
-            properties.append(_parse_section(cursor))
-        elif section is not None:
-            section.append(_parse_section(cursor))
-        else:
-            raise TraceParseError(
-                f"unknown section header: {keyword_or_header!r}",
-                cursor.line_no,
-            )
+    Each field is read where ``render_document`` writes it, and the bundle
+    must then render back to the text byte for byte."""
+    if not text.endswith("\n"):
+        raise TraceParseError(
+            "document must end with a newline", text.count("\n") + 1
+        )
+    lines = text.split("\n")[:-1]
+    pos = 0  # the number of lines taken
+
+    def fail(message: str) -> NoReturn:
+        raise TraceParseError(message, pos)
+
+    def take(what: str, expected: str | None = None) -> str:
+        """The next line; it must equal expected, or be nonblank if None."""
+        nonlocal pos
+        if pos == len(lines):
+            raise TraceParseError("unexpected end of document", pos + 1)
+        line = lines[pos]
+        pos += 1
+        if "\t" in line:
+            fail("tab character in trace")
+        if line != line.rstrip():
+            fail("trailing whitespace")
+        wrong = not line if expected is None else line != expected
+        if wrong:
+            fail(f"expected {what}" + (f", found {line!r}" if line else ""))
+        return line
+
+    def header(what: str, parts: int) -> list[str]:
+        """A header line of atoms joined by ' - ', and the blank after it."""
+        line = take(f"a {what}")
+        atoms = line.split(" - ")
+        if len(atoms) != parts or not all(map(is_identifier, atoms)):
+            fail(f"malformed {what}: {line!r}")
+        take("a blank line", "")
+        return atoms
+
+    def title() -> str:
+        line = take("a display title")
+        try:
+            _check_header(line)
+        except TraceError as exc:
+            fail(str(exc))
+        return line
+
+    def tree() -> tuple[TraceNode, ...]:
+        """The 'Explanation:' marker, a blank line, then the tree's lines."""
+        take("'Explanation:'", "Explanation:")
+        take("a blank line", "")
+        first_line = pos + 1
+        nodes: list[TraceNode] = []
+        while pos < len(lines) and lines[pos]:
+            line = take("a tree line")
+            term = line.lstrip(" ")
+            indent = len(line) - len(term)
+            if indent % len(INDENT):
+                fail(f"indentation of {indent} spaces is not a multiple of 4")
+            kind = NAF if term.startswith("not(") else RULE
+            if term.endswith(" [FACT]"):
+                if kind == NAF:
+                    fail("negated literal marked [FACT]")
+                term, kind = term[: -len(" [FACT]")], FACT
+            try:
+                nodes.append(TraceNode(term, kind, indent // len(INDENT)))
+            except TraceError as exc:
+                fail(str(exc))
+        parsed = tuple(nodes)
+        _check_tree(parsed, first_line)
+        return parsed
+
+    def after_blank() -> str | None:
+        """The line after the next, which follows a tree's closing blank."""
+        return lines[pos + 1] if pos + 1 < len(lines) else None
+
+    def section() -> TraceSection:
+        take("a blank line", "")
+        article, right_type, value = header("section header", 3)
+        return TraceSection(article, right_type, value, title(), tree())
+
+    source_id, article = header("header line", 2)
+    bundle_title = title()
+    option = take("an 'Option:' line")
+    if not option.startswith("Option: "):
+        fail(f"expected 'Option: <atom>', found {option!r}")
+    option = option[len("Option: ") :]
+    if not is_identifier(option):
+        fail(f"option is not an atom: {option!r}")
+    take("a blank line", "")
+    explanation = tree()
+
+    # Each keyword that is present precedes its sections, which run on
+    # until a keyword or the end of the document.
+    groups = []
+    for keyword in _KEYWORDS:
+        found = []
+        if after_blank() == keyword:
+            take("a blank line", "")
+            take(keyword, keyword)
+            found.append(section())
+            while after_blank() not in (None, *_KEYWORDS):
+                found.append(section())
+        groups.append(tuple(found))
+    if pos < len(lines):
+        take("a blank line", "")
+        line = take("a section header")
+        if line == "Auxiliaries:":
+            fail("'Auxiliaries:' must precede 'Properties:'")
+        if line == "Properties:":
+            fail("'Properties:' appears twice")
+        fail(f"unknown section header: {line!r}")
 
     bundle = TraceBundle(
-        source_id=source_id,
-        article=article,
-        title=title,
-        option=option,
-        explanation=explanation,
-        auxiliaries=tuple(auxiliaries),
-        properties=tuple(properties),
+        source_id, article, bundle_title, option, explanation, *groups
     )
     rendered = render_document(bundle)
     if rendered != text:

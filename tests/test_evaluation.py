@@ -404,6 +404,55 @@ def test_report_json_round_trip(eu_output, listing1_doc):
     assert report_from_json(payload) == report
 
 
+# The part of a report record to change (None for the record itself), the
+# field, its new value (None deletes the field), and the text the
+# ValueError must contain.
+MALFORMED_REPORTS = {
+    "no manual": (None, "manual", None, "'manual'"),
+    "sections is a number": ("form", "sections", 5, "'sections'"),
+    "pass is a number": ("form", "pass", 1, "'pass'"),
+    "coverage is a word": ("completeness", "coverage", "all", "'coverage'"),
+    "cited is a string": ("completeness", "cited", "abc", "'cited'"),
+    "a missing term is a number": ("completeness", "missing", [1], "'missing'"),
+    "a hallucinated term is null": ("groundedness", "hallucinated", [None], "'hallucinated'"),
+    "juridical_pass is a word": ("manual", "juridical_pass", "yes", "'juridical_pass'"),
+    "run_index is a bool": (None, "run_index", True, "'run_index'"),
+    "unknown form field": ("form", "colour", "red", "'colour'"),
+}
+
+
+@pytest.mark.parametrize(
+    "part, key, value, field",
+    MALFORMED_REPORTS.values(),
+    ids=list(MALFORMED_REPORTS),
+)
+def test_malformed_report_record_names_the_field(
+    eu_output, listing1_doc, part, key, value, field
+):
+    record = report_to_json(evaluate(eu_output, listing1_doc))
+    target = record if part is None else record[part]
+    if value is None:
+        del target[key]
+    else:
+        target[key] = value
+    with pytest.raises(ValueError, match=field):
+        report_from_json(record)
+
+
+@pytest.mark.parametrize("record", [[1], "report", None, 3])
+def test_report_record_must_be_an_object(record):
+    with pytest.raises(ValueError, match="report must be an object"):
+        report_from_json(record)
+
+
+@pytest.mark.parametrize("verdict", [True, False, None])
+def test_report_record_keeps_the_manual_verdict(eu_output, listing1_doc, verdict):
+    record = report_to_json(evaluate(eu_output, listing1_doc))
+    record["manual"] = {"juridical_pass": verdict, "notes": "checked"}
+    manual = report_from_json(record).manual
+    assert (manual.juridical_pass, manual.notes) == (verdict, "checked")
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.text(max_size=200))
 def test_appending_text_is_monotone(listing2_doc, suffix):

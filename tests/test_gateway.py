@@ -280,3 +280,4 @@ def test_http_client_against_real_socket(monkeypatch):
         assert response.text == "echo:gpt-4"
     finally:
         server.shutdown()
+        server.server_close()

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexplain import fixtures
 from lexplain import trace as trace_module
 from lexplain.engine import FACT, NAF, RULE, derive_rights
 from lexplain.trace import (
@@ -121,6 +122,14 @@ def test_unknown_section_header_rejected(listing2_text):
     with pytest.raises(TraceParseError) as err:
         parse_trace(broken)
     assert "unknown section header" in str(err.value)
+
+
+def test_repeated_properties_keyword_names_its_line(listing1_text):
+    start = listing1_text.index("\nProperties:")
+    broken = listing1_text + listing1_text[start:]
+    with pytest.raises(TraceParseError, match="appears twice") as err:
+        parse_trace(broken)
+    assert err.value.line == 36
 
 
 def test_malformed_term_rejected(listing1_text):
@@ -445,3 +454,114 @@ def test_every_constructed_bundle_round_trips(
     except TraceError:
         return
     assert parse_trace(render_document(bundle)).bundle == bundle
+
+
+# --- diagnostics -------------------------------------------------------------
+
+
+# A fault in listing1, the line it is reported on, and the message.
+LISTING1_FAULTS = {
+    "no blank after line 1": (
+        lambda text: text.replace("\n\n", "\n", 1),
+        2,
+        "expected a blank line",
+    ),
+    "'Explain:' marker": (
+        lambda text: text.replace("4\nExplanation:", "4\nExplain:"),
+        20,
+        "expected 'Explanation:'",
+    ),
+    "section keywords swapped": (
+        lambda text: text.replace("Properties:", "Auxiliaries:").replace(
+            "Auxiliaries:", "Properties:", 1
+        ),
+        25,
+        "'Auxiliaries:' must precede 'Properties:'",
+    ),
+    "trailing space": (
+        lambda text: text.replace("essentialDocument\n", "essentialDocument \n"),
+        4,
+        "trailing whitespace",
+    ),
+    "option without prefix": (
+        lambda text: text.replace("Option: essentialDocument", "essentialDocument"),
+        4,
+        "expected 'Option: <atom>'",
+    ),
+    "option not an atom": (
+        lambda text: text.replace("Option: essentialDocument", "Option: Essential"),
+        4,
+        "option is not an atom",
+    ),
+    "cut after the explanation tree": (
+        lambda text: text[: text.index("Auxiliaries:")],
+        15,
+        "unexpected end of document",
+    ),
+    "cut after 'Auxiliaries:'": (
+        lambda text: text[: text.index("Auxiliaries:\n") + len("Auxiliaries:\n")],
+        16,
+        "unexpected end of document",
+    ),
+    "tab in a title": (
+        lambda text: text.replace("Article 4", "Article\t4"),
+        19,
+        "tab character",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "edit, line, message", LISTING1_FAULTS.values(), ids=list(LISTING1_FAULTS)
+)
+def test_parse_diagnostics_are_pinned(listing1_text, edit, line, message):
+    with pytest.raises(TraceParseError) as err:
+        parse_trace(edit(listing1_text))
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: {message}")
+
+
+MUTATION_TOKENS = (
+    " ", "\t", "(", ",", " [FACT]", "not(",
+    "Explanation:", "Auxiliaries:", "Properties:",
+)
+
+
+@st.composite
+def near_valid_documents(draw):
+    """A golden or a rendered random bundle, with one line deleted,
+    duplicated or swapped, or one token inserted into a line."""
+    base = draw(
+        st.one_of(
+            st.sampled_from([fixtures.listing1_trace(), fixtures.listing2_trace()]),
+            st.integers(0, 2**32 - 1).map(
+                lambda seed: render_document(random_bundle(random.Random(seed)))
+            ),
+        )
+    )
+    lines = base.split("\n")[:-1]
+    index = draw(st.integers(0, len(lines) - 1))
+    mutation = draw(st.sampled_from(["delete", "duplicate", "swap", "insert"]))
+    if mutation == "delete":
+        del lines[index]
+    elif mutation == "duplicate":
+        lines.insert(index, lines[index])
+    elif mutation == "swap":
+        other = draw(st.integers(0, len(lines) - 1))
+        lines[index], lines[other] = lines[other], lines[index]
+    else:
+        at = draw(st.integers(0, len(lines[index])))
+        token = draw(st.sampled_from(MUTATION_TOKENS))
+        lines[index] = lines[index][:at] + token + lines[index][at:]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_valid_documents())
+def test_near_valid_documents_parse_exactly_or_name_a_line(text):
+    try:
+        doc = parse_trace(text)
+    except TraceParseError as err:
+        assert 1 <= err.line <= text.count("\n") + 1
+    else:
+        assert render_document(doc.bundle) == text
