@@ -3,7 +3,9 @@
 The solver is deterministic: facts are tried in canonical order, clauses in
 textual order, body literals left to right. Each goal looks up only the
 facts and clauses that can match it (by predicate, and facts also by a
-constant first argument), which leaves that order unchanged.
+constant first argument), which leaves that order unchanged. Only the body
+of a clause whose head matched the goal is built, renamed apart as
+``_<n>_<Name>``, where ``n`` counts the candidate clauses tried.
 ``ground_oracle`` computes the same semantics bottom-up (stratified least
 fixpoint) and exists purely as an independent cross-check on the
 resolution engine.
@@ -196,41 +198,16 @@ def _walk(value: _Value, bindings: _Bindings) -> _Value:
     return value
 
 
-def _unify_args(a: _Value, b: _Value, bindings: dict) -> dict | None:
-    a = _walk(a, bindings)
-    b = _walk(b, bindings)
-    if isinstance(a, Variable):
-        if isinstance(b, Variable) and a.name == b.name:
-            return bindings
-        new = dict(bindings)
-        new[a.name] = b
-        return new
-    if isinstance(b, Variable):
-        new = dict(bindings)
-        new[b.name] = a
-        return new
-    return bindings if a == b else None
-
-
-def _unify_terms(goal: Term, head: Term, bindings: dict) -> dict | None:
-    if goal.functor != head.functor or goal.arity != head.arity:
-        return None
-    current: dict | None = bindings
-    for a, b in zip(goal.args, head.args):
-        current = _unify_args(a, b, current)
-        if current is None:
-            return None
-    return current
-
-
 def _resolve_term(term: Term, bindings: _Bindings) -> Term:
     # bindings map names to arguments of checked terms
-    return _trusted_term(
-        term.functor, tuple(_walk(a, bindings) for a in term.args)
-    )
+    args = tuple([_walk(a, bindings) if isinstance(a, Variable) else a
+                  for a in term.args])
+    return _trusted_term(term.functor, args)
 
 
 def _resolve_tree(tree: ProofTree, bindings: _Bindings) -> ProofTree:
+    if tree.kind != RULE:
+        return tree  # FACT and NAF leaves are ground when they are built
     literal = Literal(
         _resolve_term(tree.literal.term, bindings), tree.literal.negated
     )
@@ -238,30 +215,77 @@ def _resolve_tree(tree: ProofTree, bindings: _Bindings) -> ProofTree:
     return ProofTree(literal, tree.kind, tree.article, children)
 
 
+def _match_fact(target: Term, fact: Term, bindings: dict) -> dict | None:
+    """bindings extended so that the resolved target equals the ground
+    fact of its predicate, or None. The dict is copied at most once."""
+    local: dict[str, _Value] = {}  # target variables are unbound in bindings
+    for a, b in zip(target.args, fact.args):
+        if isinstance(a, Variable):
+            if local.setdefault(a.name, b) != b:
+                return None
+        elif a != b:
+            return None
+    return {**bindings, **local} if local else bindings
+
+
+def _match_head(
+    target: Term, head: Term, bindings: dict, tag: int
+) -> tuple[dict, dict] | None:
+    """Unify the resolved target with head renamed apart by tag, without
+    renaming it: (clause variable values, extended bindings), or None.
+
+    A clause variable missing from values is still the fresh _<tag>_<Name>.
+    A goal variable met against one is bound to it, as unifying with the
+    renamed head would. Only goal and fresh variables get bound, and
+    neither is bound in bindings, so local holds every new binding.
+    """
+    values: dict[str, _Value] = {}
+    local: dict[str, _Value] = {}
+    for a, h in zip(target.args, head.args):
+        a = _walk(a, local)
+        if isinstance(h, Variable):
+            value = values.get(h.name)
+            if value is None:
+                if isinstance(a, Variable):
+                    local[a.name] = _trusted_variable(f"_{tag}_{h.name}")
+                    a = local[a.name]
+                values[h.name] = a
+                continue
+            h = _walk(value, local)
+        if isinstance(a, Variable):
+            if not (isinstance(h, Variable) and a.name == h.name):
+                local[a.name] = h
+        elif isinstance(h, Variable):
+            local[h.name] = a
+        elif a != h:
+            return None
+    return values, {**bindings, **local} if local else bindings
+
+
+def _instantiate_body(
+    body: tuple[Literal, ...], values: dict, tag: int
+) -> tuple[Literal, ...]:
+    """The body with head-bound values in place of clause variables and a
+    fresh ``_<tag>_<Name>`` for each variable the head left unbound."""
+    literals = []
+    for literal in body:
+        args = []
+        for a in literal.term.args:
+            if isinstance(a, Variable):
+                if a.name not in values:
+                    values[a.name] = _trusted_variable(f"_{tag}_{a.name}")
+                a = values[a.name]
+            args.append(a)
+        term = _trusted_term(literal.term.functor, tuple(args))
+        literals.append(Literal(term, literal.negated))
+    return tuple(literals)
+
+
 class _Context:
     def __init__(self, kb: KnowledgeBase, facts: CaseFacts):
         self.kb = kb
         self.facts = facts
-        self._fresh = 0
-
-    def rename(self, clause: Clause) -> tuple[Term, tuple[Literal, ...]]:
-        self._fresh += 1
-        tag = self._fresh
-
-        def rn(term: Term) -> Term:
-            return _trusted_term(
-                term.functor,
-                tuple(
-                    _trusted_variable(f"_{tag}_{a.name}")
-                    if isinstance(a, Variable)
-                    else a
-                    for a in term.args
-                ),
-            )
-
-        head = rn(clause.head)
-        body = tuple(Literal(rn(l.term), l.negated) for l in clause.body)
-        return head, body
+        self.tried = 0  # candidate clauses, matched or not; tags renames
 
 
 def _solve_term(
@@ -269,18 +293,21 @@ def _solve_term(
 ) -> Iterator[tuple[dict, ProofTree]]:
     target = _resolve_term(goal, bindings)
     for fact in ctx.facts.candidates(target):
-        unified = _unify_terms(target, fact, bindings)
+        unified = _match_fact(target, fact, bindings)
         if unified is not None:
             yield unified, ProofTree(Literal(fact), FACT, None)
     for clause in ctx.kb.clauses_for(target.predicate):
-        head, body = ctx.rename(clause)
-        unified = _unify_terms(target, head, bindings)
-        if unified is None:
+        ctx.tried += 1
+        tag = ctx.tried
+        matched = _match_head(target, clause.head, bindings, tag)
+        if matched is None:
             continue
+        values, unified = matched
         if depth + 1 > DEPTH_LIMIT:
             raise DepthLimitError(
                 format_term(_resolve_term(target, unified)), DEPTH_LIMIT
             )
+        body = _instantiate_body(clause.body, values, tag)
         for final, children in _solve_body(body, unified, ctx, depth + 1):
             yield final, ProofTree(
                 Literal(target), RULE, clause.article, children
@@ -290,9 +317,7 @@ def _solve_term(
 def _solve_literal(
     literal: Literal, bindings: dict, ctx: _Context, depth: int
 ) -> Iterator[tuple[dict, ProofTree]]:
-    if not literal.negated:
-        yield from _solve_term(literal.term, bindings, ctx, depth)
-        return
+    """Negation as failure on a negated body literal."""
     subgoal = _resolve_term(literal.term, bindings)
     if not subgoal.is_ground:
         raise NafNonGroundError(Literal(subgoal, negated=True))
@@ -306,10 +331,16 @@ def _solve_body(
 ) -> Iterator[tuple[dict, tuple[ProofTree, ...]]]:
     """Prove body literals left to right with one open iterator per literal
     entered, so a body of any length fits in a bounded Python stack."""
+
+    def enter(literal: Literal, bindings: dict) -> Iterator:
+        if literal.negated:
+            return _solve_literal(literal, bindings, ctx, depth)
+        return _solve_term(literal.term, bindings, ctx, depth)
+
     if not body:
         yield bindings, ()
         return
-    iterators = [_solve_literal(body[0], bindings, ctx, depth)]
+    iterators = [enter(body[0], bindings)]
     proofs: list[ProofTree] = []  # one per literal before the last iterator's
     while iterators:
         step = next(iterators[-1], None)
@@ -320,8 +351,7 @@ def _solve_body(
             yield step[0], (*proofs, step[1])
         else:
             proofs.append(step[1])
-            literal = body[len(iterators)]
-            iterators.append(_solve_literal(literal, step[0], ctx, depth))
+            iterators.append(enter(body[len(iterators)], step[0]))
 
 
 def solve(
@@ -339,7 +369,7 @@ def solve(
     for bindings, tree in _solve_term(goal, {}, ctx, 0):
         answer: dict[str, str] = {}
         for name in sorted(goal.variables()):
-            value = _walk(Variable(name), bindings)
+            value = _walk(bindings.get(name), bindings)  # None when unbound
             if isinstance(value, str):
                 answer[name] = value
         results.append((Substitution(answer), _resolve_tree(tree, bindings)))

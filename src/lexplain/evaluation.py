@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from statistics import fmean
+from typing import Iterator
 
 from .chain import _checked
 from .trace import TraceDocument, parse_term_cached
@@ -192,14 +193,9 @@ def check_completeness(
 # --- groundedness ---------------------------------------------------------------
 
 
-def scan_output_terms(text: str) -> list[str]:
-    """All term-shaped substrings, canonicalized, in order.
-
-    Nested occurrences are reported too (``not(q(a))`` yields both the
-    wrapper and ``q(a)``): each is looked up independently, and appending
-    text to the output can then only ever grow the candidate list.
-    """
-    found: list[str] = []
+def _scan_spans(text: str) -> Iterator[tuple[int, int, str]]:
+    """(start, end, canonical text) of every term-shaped substring, in
+    order of start; a nested term comes after the term around it."""
     memo: dict[int, tuple[str, int] | None] = {}
     # A term can only start where the whole word before a "(" starts. The
     # word is matched in the reversed text, so each "(" costs one match
@@ -207,25 +203,40 @@ def scan_output_terms(text: str) -> list[str]:
     backwards = text[::-1]
     pos = text.find("(")
     while pos != -1:
-        word = _WORD_RE.match(backwards, len(text) - pos).group()
-        parsed = parse_term_cached(text, pos - len(word), memo)
+        start = pos - len(_WORD_RE.match(backwards, len(text) - pos).group())
+        parsed = parse_term_cached(text, start, memo)
         if parsed is not None:
-            found.append(parsed[0])
+            yield start, parsed[1], parsed[0]
         pos = text.find("(", pos + 1)
-    return found
+
+
+def scan_output_terms(text: str) -> list[str]:
+    """All term-shaped substrings, canonicalized, in order.
+
+    Nested occurrences are reported too (``not(q(a))`` yields both the
+    wrapper and ``q(a)``): each is looked up independently, and appending
+    text to the output can then only ever grow the candidate list.
+    """
+    return [term for _, _, term in _scan_spans(text)]
 
 
 def check_groundedness(
     output: str, trace: TraceDocument
 ) -> GroundednessResult:
     """Flag term-shaped references that do not occur in the trace
-    (negation bodies count as known subterms)."""
+    (negation bodies count as known subterms).
+
+    Only the outermost unknown term is reported: a term inside one already
+    flagged is skipped, so the report grows with the output, not with the
+    square of its nesting depth.
+    """
     known = trace.known_terms
-    hallucinated = dict.fromkeys(
-        candidate
-        for candidate in scan_output_terms(output)
-        if candidate not in known
-    )
+    hallucinated: dict[str, None] = {}
+    flagged_end = 0
+    for start, end, candidate in _scan_spans(output):
+        if start >= flagged_end and candidate not in known:
+            hallucinated[candidate] = None
+            flagged_end = end
     return GroundednessResult(hallucinated_terms=tuple(hallucinated))
 
 
@@ -317,6 +328,17 @@ def report_from_json(data) -> EvaluationReport:
     form, completeness, groundedness, manual = (
         _checked(data[part], fields, part) for part, fields in _PART_FIELDS.items()
     )
+    if form["pass"] != (not form["violations"]):
+        raise ValueError("form field 'pass' disagrees with 'violations'")
+    required, cited = completeness["required"], completeness["cited"]
+    missing = completeness["missing"]
+    if sorted(cited + missing) != sorted(required) or set(cited) & set(missing):
+        raise ValueError(
+            "completeness fields 'cited' and 'missing' do not split 'required'"
+        )
+    coverage = len(cited) / len(required) if required else 1.0
+    if completeness["coverage"] != coverage:
+        raise ValueError(f"completeness field 'coverage' is not {coverage!r}")
     return EvaluationReport(
         form=FormResult(
             sections_found=tuple(form["sections"]),
@@ -324,9 +346,9 @@ def report_from_json(data) -> EvaluationReport:
             violations=tuple(form["violations"]),
         ),
         completeness=CompletenessResult(
-            required_terms=tuple(completeness["required"]),
-            cited_terms=tuple(completeness["cited"]),
-            missing_terms=tuple(completeness["missing"]),
+            required_terms=tuple(required),
+            cited_terms=tuple(cited),
+            missing_terms=tuple(missing),
             coverage=completeness["coverage"],
         ),
         groundedness=GroundednessResult(

@@ -6,12 +6,15 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexplain import fixtures
+from lexplain import engine, fixtures
 from lexplain import kb as kb_module
 from lexplain.cli import main
 from lexplain.dsl import parse_facts, parse_rules
 from lexplain.engine import (
+    DEPTH_LIMIT,
     FACT,
     NAF,
     RULE,
@@ -19,6 +22,7 @@ from lexplain.engine import (
     EngineError,
     NafNonGroundError,
     ProofTree,
+    Substitution,
     UnknownSourceError,
     derive_rights,
     ground_oracle,
@@ -26,8 +30,10 @@ from lexplain.engine import (
 )
 from lexplain.kb import (
     CaseFacts,
+    Clause,
     KbError,
     KnowledgeBase,
+    LegalSource,
     Literal,
     Term,
     Variable,
@@ -406,3 +412,283 @@ def test_non_ground_option_is_an_engine_error():
     )
     with pytest.raises(EngineError, match="not ground"):
         derive_rights("mario", "s", kb, parse_facts("person(mario).\n"))
+
+
+# --- head-first resolution ----------------------------------------------------
+
+RULES_HEADER = "%% source: s\n%% article: a\n%% title: T\n"
+
+
+def test_unmatched_clause_builds_no_variables(monkeypatch):
+    # The first clause's head constant differs from the goal's, so nothing
+    # of it is built; it still takes tag 1, so the second clause's X is _2_X.
+    kb = parse_rules(RULES_HEADER + "p(a) :- q(X).\np(b) :- q(X).\n")
+    built = []
+
+    def spy(name):
+        built.append(name)
+        return kb_module._trusted_variable(name)
+
+    monkeypatch.setattr(engine, "_trusted_variable", spy)
+    ((_, tree),) = solve(Term("p", ("b",)), kb, parse_facts("q(c).\n"))
+    assert format_term(tree.children[0].literal.term) == "q(c)"
+    assert built == ["_2_X"]
+
+
+def test_naf_error_names_the_renamed_variable():
+    kb = parse_rules(
+        RULES_HEADER + "q(X, Y) :- s(X).\np(X) :- q(X, Y), not(r(Y)).\n"
+    )
+    with pytest.raises(NafNonGroundError) as err:
+        solve(Term("p", ("a",)), kb, parse_facts("s(a).\n"))
+    assert str(err.value) == (
+        "negation-as-failure subgoal is not ground: not(r(_2_Y))"
+    )
+
+
+def test_depth_limit_goal_names_the_renamed_variable():
+    kb = parse_rules(RULES_HEADER + "p(X, Y) :- p(Y, X).\n")
+    with pytest.raises(DepthLimitError) as err:
+        solve(Term("p", ("a", V("B"))), kb, CaseFacts())
+    assert err.value.goal == "p(a, _65_Y)"
+
+
+# The resolver before head-first matching, kept as the reference: each
+# candidate clause is renamed whole, then unified with the resolved goal.
+
+
+class _RefContext:
+    def __init__(self, kb, facts):
+        self.kb = kb
+        self.facts = facts
+        self._fresh = 0
+
+    def rename(self, clause):
+        self._fresh += 1
+        tag = self._fresh
+
+        def rn(term):
+            return Term(
+                term.functor,
+                tuple(
+                    kb_module._trusted_variable(f"_{tag}_{a.name}")
+                    if isinstance(a, Variable)
+                    else a
+                    for a in term.args
+                ),
+            )
+
+        head = rn(clause.head)
+        body = tuple(Literal(rn(l.term), l.negated) for l in clause.body)
+        return head, body
+
+
+def _ref_walk(value, bindings):
+    while isinstance(value, Variable):
+        bound = bindings.get(value.name)
+        if bound is None:
+            return value
+        value = bound
+    return value
+
+
+def _ref_unify_args(a, b, bindings):
+    a = _ref_walk(a, bindings)
+    b = _ref_walk(b, bindings)
+    if isinstance(a, Variable):
+        if isinstance(b, Variable) and a.name == b.name:
+            return bindings
+        new = dict(bindings)
+        new[a.name] = b
+        return new
+    if isinstance(b, Variable):
+        new = dict(bindings)
+        new[b.name] = a
+        return new
+    return bindings if a == b else None
+
+
+def _ref_unify_terms(goal, head, bindings):
+    if goal.functor != head.functor or goal.arity != head.arity:
+        return None
+    current = bindings
+    for a, b in zip(goal.args, head.args):
+        current = _ref_unify_args(a, b, current)
+        if current is None:
+            return None
+    return current
+
+
+def _ref_resolve_term(term, bindings):
+    return Term(term.functor, tuple(_ref_walk(a, bindings) for a in term.args))
+
+
+def _ref_resolve_tree(tree, bindings):
+    literal = Literal(
+        _ref_resolve_term(tree.literal.term, bindings), tree.literal.negated
+    )
+    children = tuple(_ref_resolve_tree(c, bindings) for c in tree.children)
+    return ProofTree(literal, tree.kind, tree.article, children)
+
+
+def _ref_solve_term(goal, bindings, ctx, depth):
+    target = _ref_resolve_term(goal, bindings)
+    for fact in ctx.facts.candidates(target):
+        unified = _ref_unify_terms(target, fact, bindings)
+        if unified is not None:
+            yield unified, ProofTree(Literal(fact), FACT, None)
+    for clause in ctx.kb.clauses_for(target.predicate):
+        head, body = ctx.rename(clause)
+        unified = _ref_unify_terms(target, head, bindings)
+        if unified is None:
+            continue
+        if depth + 1 > DEPTH_LIMIT:
+            raise DepthLimitError(
+                format_term(_ref_resolve_term(target, unified)), DEPTH_LIMIT
+            )
+        for final, children in _ref_solve_body(body, unified, ctx, depth + 1):
+            yield final, ProofTree(
+                Literal(target), RULE, clause.article, children
+            )
+
+
+def _ref_solve_literal(literal, bindings, ctx, depth):
+    if not literal.negated:
+        yield from _ref_solve_term(literal.term, bindings, ctx, depth)
+        return
+    subgoal = _ref_resolve_term(literal.term, bindings)
+    if not subgoal.is_ground:
+        raise NafNonGroundError(Literal(subgoal, negated=True))
+    for _ in _ref_solve_term(subgoal, {}, ctx, depth):
+        return
+    yield bindings, ProofTree(Literal(subgoal, negated=True), NAF, None)
+
+
+def _ref_solve_body(body, bindings, ctx, depth):
+    if not body:
+        yield bindings, ()
+        return
+    iterators = [_ref_solve_literal(body[0], bindings, ctx, depth)]
+    proofs = []
+    while iterators:
+        step = next(iterators[-1], None)
+        del proofs[len(iterators) - 1 :]
+        if step is None:
+            iterators.pop()
+        elif len(iterators) == len(body):
+            yield step[0], (*proofs, step[1])
+        else:
+            proofs.append(step[1])
+            literal = body[len(iterators)]
+            iterators.append(_ref_solve_literal(literal, step[0], ctx, depth))
+
+
+def _ref_solve(goal, kb, facts):
+    ctx = _RefContext(kb, facts)
+    results = []
+    for bindings, tree in _ref_solve_term(goal, {}, ctx, 0):
+        answer = {}
+        for name in sorted(goal.variables()):
+            value = _ref_walk(Variable(name), bindings)
+            if isinstance(value, str):
+                answer[name] = value
+        results.append((Substitution(answer), _ref_resolve_tree(tree, bindings)))
+    return results
+
+
+def _outcome(solver, goal, kb, facts):
+    """The repr of every answer and tree, or the error's class and text."""
+    try:
+        return repr(solver(goal, kb, facts))
+    except EngineError as err:
+        return type(err), str(err)
+
+
+# A body literal calls an earlier predicate, and a positive last literal may
+# call its own, so programs recurse and stay stratified. Recursion is on the
+# last literal only: a left-recursive call that has answers makes the search
+# enumerate about 2**64 of them before the depth limit stops it.
+_PREDICATES = (("e", 2), ("q", 1), ("p", 2), ("r", 1))
+_CONSTANTS = ("a", "b")
+_CLAUSE_VARIABLES = tuple(V(n) for n in ("X", "Y", "Z"))
+
+
+@st.composite
+def _programs(draw):
+    clauses = []
+    for _ in range(draw(st.integers(1, 5))):
+        index = draw(st.integers(1, len(_PREDICATES) - 1))
+        any_arg = st.sampled_from(_CONSTANTS + _CLAUSE_VARIABLES)
+        head = Term(_PREDICATES[index][0], tuple(
+            draw(any_arg) for _ in range(_PREDICATES[index][1])
+        ))
+        bound = set(head.variables())
+        body = []
+        length = draw(st.integers(0, 3))
+        for position in range(length):
+            negated = draw(st.booleans())
+            own = not negated and position == length - 1
+            functor, arity = _PREDICATES[
+                draw(st.integers(0, index if own else index - 1))
+            ]
+            args = st.sampled_from(
+                _CONSTANTS + tuple(V(n) for n in sorted(bound))
+            ) if negated else any_arg
+            term = Term(functor, tuple(draw(args) for _ in range(arity)))
+            body.append(Literal(term, negated))
+            if not negated:
+                bound |= term.variables()
+        clauses.append(Clause(head, tuple(body), LegalSource("s"), "a1", "T"))
+    atoms = st.sampled_from(_PREDICATES).flatmap(
+        lambda p: st.tuples(*[st.sampled_from(_CONSTANTS + ("c",))] * p[1]).map(
+            lambda args: Term(p[0], args)
+        )
+    )
+    facts = draw(st.frozensets(atoms, max_size=6))
+    # Each predicate with distinct free arguments, then drawn goals that mix
+    # bound, free and repeated arguments.
+    goals = [
+        Term(functor, tuple(V(f"G{i}") for i in range(arity)))
+        for functor, arity in _PREDICATES
+    ]
+    goal_arg = st.sampled_from(("a", "c", V("X"), V("Y"), V("W")))
+    goals += draw(st.lists(
+        st.sampled_from(_PREDICATES).flatmap(
+            lambda p: st.tuples(*[goal_arg] * p[1]).map(
+                lambda args: Term(p[0], args)
+            )
+        ),
+        max_size=4,
+    ))
+    return KnowledgeBase(tuple(clauses)), CaseFacts(facts), goals
+
+
+@settings(max_examples=200, deadline=None)
+@given(_programs())
+def test_solve_equals_the_renaming_reference(program):
+    kb, facts, goals = program
+    for goal in goals:
+        assert _outcome(solve, goal, kb, facts) == _outcome(
+            _ref_solve, goal, kb, facts
+        )
+
+
+def test_solve_equals_the_renaming_reference_on_the_shipped_kbs(mario_facts):
+    # Free and repeated-variable goals for every rule predicate, and every
+    # derivable atom with one argument left free.
+    kb = merge([fixtures.eu_kb(), fixtures.pl_kb()])
+    heads = sorted({c.head.predicate for c in kb.clauses})
+    goals = []
+    for functor, arity in heads:
+        goals.append(Term(functor, tuple(V(f"A{i}") for i in range(arity))))
+        goals.append(Term(functor, (V("A"),) * arity))
+    for atom in sorted(ground_oracle(kb, mario_facts), key=format_term):
+        if atom.predicate in heads:
+            for i in range(atom.arity):
+                args = atom.args[:i] + (V("A"),) + atom.args[i + 1 :]
+                goals.append(Term(atom.functor, args))
+    assert len(goals) > 500
+    for goal in goals:
+        assert _outcome(solve, goal, kb, mario_facts) == _outcome(
+            _ref_solve, goal, kb, mario_facts
+        )

@@ -3,6 +3,7 @@ replayed over the reference outputs."""
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -12,7 +13,10 @@ from hypothesis import strategies as st
 from lexplain.evaluation import (
     COMPARISON_SECTIONS,
     TRANSLATION_SECTIONS,
+    CompletenessResult,
+    EvaluationReport,
     FormResult,
+    GroundednessResult,
     _normalize_for_match,
     check_completeness,
     check_form,
@@ -267,6 +271,19 @@ def test_prose_without_terms_is_clean(listing1_doc):
     assert check_groundedness(text, listing1_doc).hallucinated_terms == ()
 
 
+def test_groundedness_reports_the_outermost_unknown_term(listing2_doc):
+    output = "see f(g(a), h(b)) and then h(b) again"
+    result = check_groundedness(output, listing2_doc)
+    assert result.hallucinated_terms == ("f(g(a), h(b))", "h(b)")
+
+
+def test_deep_nesting_is_one_hallucinated_term(listing1_doc):
+    deep = "f(" * 3000 + "a" + ")" * 3000
+    report = evaluate(deep, listing1_doc)
+    assert report.groundedness.hallucinated_terms == (deep,)
+    assert len(json.dumps(report_to_json(report), indent=2)) < 20_000
+
+
 def test_scan_reports_wrappers_and_their_bodies():
     text = "see not(person_understands(mario, polish)) and q(a, b)."
     assert scan_output_terms(text) == [
@@ -418,6 +435,11 @@ MALFORMED_REPORTS = {
     "juridical_pass is a word": ("manual", "juridical_pass", "yes", "'juridical_pass'"),
     "run_index is a bool": (None, "run_index", True, "'run_index'"),
     "unknown form field": ("form", "colour", "red", "'colour'"),
+    "pass next to no violation": ("form", "pass", False, "'pass'"),
+    "violation next to a pass": ("form", "violations", ["missing section: Summary"], "'pass'"),
+    "cited term not required": ("completeness", "cited", ["q(z)"], "'cited'"),
+    "missing drops a term": ("completeness", "missing", [], "'missing'"),
+    "coverage out of range": ("completeness", "coverage", 7, "'coverage'"),
 }
 
 
@@ -437,6 +459,31 @@ def test_malformed_report_record_names_the_field(
         target[key] = value
     with pytest.raises(ValueError, match=field):
         report_from_json(record)
+
+
+def test_cited_and_missing_must_be_disjoint():
+    report = EvaluationReport(
+        form=FormResult(("Summary",), True, ()),
+        completeness=CompletenessResult(("p(a)", "p(a)"), ("p(a)",), ("p(a)",), 0.5),
+        groundedness=GroundednessResult(()),
+    )
+    with pytest.raises(ValueError, match="'cited' and 'missing'"):
+        report_from_json(report_to_json(report))
+
+
+@pytest.mark.parametrize("name", ["pl", "eu", "comparison", "nested"])
+def test_reference_reports_round_trip(
+    name, pl_output, eu_output, comparison_text, listing1_doc, listing2_doc
+):
+    output, trace, sections = {
+        "pl": (pl_output, listing2_doc, TRANSLATION_SECTIONS),
+        "eu": (eu_output, listing1_doc, TRANSLATION_SECTIONS),
+        "comparison": (comparison_text, listing1_doc, COMPARISON_SECTIONS),
+        "nested": ("f(" * 30 + "a" + ")" * 30, listing1_doc, TRANSLATION_SECTIONS),
+    }[name]
+    for run_index in range(3):
+        report = evaluate(output, trace, sections, run_index)
+        assert report_from_json(report_to_json(report)) == report
 
 
 @pytest.mark.parametrize("record", [[1], "report", None, 3])
