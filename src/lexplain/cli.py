@@ -140,10 +140,14 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     repetitions = pick(getattr(args, "repetitions", None), "repetitions", 1)
     if repetitions < 1:
         raise UsageError("--repetitions must be >= 1")
+    sources = list(pick(getattr(args, "source", None), "sources", []))
+    for index, source_id in enumerate(sources):
+        if source_id in sources[:index]:
+            raise UsageError(f"source {source_id} is named twice")
     return RunConfig(
         kb_paths=list(pick(getattr(args, "kb", None), "kb", [])),
         facts_path=pick(getattr(args, "facts", None), "facts", None),
-        sources=list(pick(getattr(args, "source", None), "sources", [])),
+        sources=sources,
         person=pick(getattr(args, "person", None), "person", None),
         mock_dir=mock_dir,
         repetitions=repetitions,

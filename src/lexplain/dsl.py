@@ -12,6 +12,7 @@ import re
 from typing import NamedTuple
 
 from .kb import (
+    ATOM,
     CaseFacts,
     Clause,
     KnowledgeBase,
@@ -31,6 +32,13 @@ _METADATA_RE = re.compile(r"\s*%%\s*([a-z_]+)\s*:\s*(.*?)\s*$")
 # so finditer skips them.
 _TOKEN_RE = re.compile(r"(%)|(:-|[(),.])|([A-Za-z][A-Za-z0-9_]*)|([^ \t\r])")
 _PUNCT_KINDS = {":-": "IMPLIES", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT"}
+# A flat fact line, ``f(a, b).`` or ``f.``, with the blanks and comment the
+# tokenizer skips; parse_facts sends every other line to the tokenizer.
+_B = r"[ \t\r]*"
+_FACT_LINE_RE = re.compile(
+    rf"{_B}({ATOM}){_B}(?:\({_B}({ATOM}(?:{_B},{_B}{ATOM})*){_B}\){_B})?\.{_B}(?:%.*)?"
+)
+_ATOM_RE = re.compile(ATOM)
 
 _METADATA_KEYS = ("source", "jurisdiction", "article", "title")
 
@@ -283,6 +291,10 @@ def parse_facts(text: str) -> CaseFacts:
     """Parse a facts file: one ground, '.'-terminated term per line."""
     facts: set[Term] = set()
     for line_no, line in enumerate(text.splitlines(), start=1):
+        flat = _FACT_LINE_RE.fullmatch(line)
+        if flat and flat[1] != "not":
+            facts.add(Term(flat[1], tuple(_ATOM_RE.findall(flat[2] or ""))))
+            continue
         tokens: list[_Token] = []
         _tokenize_line(line, line_no, tokens)
         if not tokens:

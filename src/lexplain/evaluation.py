@@ -199,12 +199,13 @@ def _scan_spans(text: str) -> Iterator[tuple[int, int, str]]:
     memo: dict[int, tuple[str, int] | None] = {}
     # A term can only start where the whole word before a "(" starts. The
     # word is matched in the reversed text, so each "(" costs one match
-    # instead of one regex attempt per letter of the output.
+    # instead of one regex attempt per letter of the output. A "(" with no
+    # word before it starts no term.
     backwards = text[::-1]
     pos = text.find("(")
     while pos != -1:
         start = pos - len(_WORD_RE.match(backwards, len(text) - pos).group())
-        parsed = parse_term_cached(text, start, memo)
+        parsed = parse_term_cached(text, start, memo) if start < pos else None
         if parsed is not None:
             yield start, parsed[1], parsed[0]
         pos = text.find("(", pos + 1)

@@ -14,7 +14,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-_IDENT_RE = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
+# The atom grammar; every regex that reads an atom is built from it.
+ATOM = r"[a-z][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(ATOM + r"\Z")
 _VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
 
 

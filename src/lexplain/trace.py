@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import NoReturn
 
 from .engine import FACT, NAF, RULE, ProofTree, RightsBundle
-from .kb import KnowledgeBase, format_literal, is_identifier
+from .kb import ATOM, KnowledgeBase, format_literal, is_identifier
 
 INDENT = "    "
 
@@ -24,8 +24,15 @@ INTERMEDIATE = "INTERMEDIATE"
 FACT_LEAF = "FACT_LEAF"
 NAF_LEAF = "NAF_LEAF"
 
-_ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
+_ATOM_RE = re.compile(ATOM)
 _SPACE = " \t\n\r"
+# Flat terms, a functor over atoms, are nearly all terms read: canonical
+# text, bare or negated, and cited text with _SPACE between its tokens.
+_FLAT = rf"{ATOM}(?:\({ATOM}(?:, {ATOM})*\))?"
+_CANONICAL_FLAT_RE = re.compile(rf"{_FLAT}|not\({_FLAT}\)")
+_S = f"[{_SPACE}]*"
+_FLAT_TERM_RE = re.compile(rf"{ATOM}\({_S}{ATOM}{_S}(?:,{_S}{ATOM}{_S})*\)")
+_CANONICAL_SPACING = str.maketrans({**dict.fromkeys(_SPACE), ",": ", "})
 _KEYWORDS = ("Auxiliaries:", "Properties:")
 
 
@@ -176,8 +183,7 @@ class TraceDocument:
         for root, *nodes in trees:
             functor, arity = _term_parts(root.term)
             for child in nodes:
-                parts = _term_parts(child.term)
-                if child.depth == 1 and parts == (functor, arity - 1):
+                if child.depth == 1 and _term_parts(child.term) == (functor, arity - 1):
                     mapping[child.term] = root.term
         return mapping
 
@@ -218,9 +224,17 @@ def parse_term_cached(
     up first, then records every term it opens: the result of each one
     it closes, and None for those still open when it fails. Parsing from
     a position does not depend on the text before it, so a scan over all
-    start positions parses each term once.
+    start positions parses each term once. A flat term, a functor over
+    atoms, takes one regex match instead of the stack.
     """
     if pos in memo:
+        return memo[pos]
+    flat = _FLAT_TERM_RE.match(text, pos)
+    if flat:
+        term = flat.group()
+        if not _CANONICAL_FLAT_RE.fullmatch(term):
+            term = term.translate(_CANONICAL_SPACING)
+        memo[pos] = (term, flat.end())
         return memo[pos]
     match = _ATOM_RE.match(text, pos)
     if not match:
@@ -265,8 +279,8 @@ def parse_term_cached(
 
 def canonical_term_text(text: str) -> str:
     """Canonicalize a full term string, or raise TraceError."""
-    if _ATOM_RE.fullmatch(text):
-        return text  # bare atom
+    if _CANONICAL_FLAT_RE.fullmatch(text):
+        return text
     parsed = parse_term_at(text, 0)
     if parsed is None or parsed[1] != len(text):
         raise TraceError(f"malformed term: {text!r}")

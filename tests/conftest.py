@@ -5,9 +5,11 @@ random trace-bundle generator."""
 from __future__ import annotations
 
 import random
+import re
 import string
 
 import pytest
+from hypothesis import strategies as st
 
 from lexplain import fixtures
 from lexplain.engine import FACT, NAF, RULE, ProofTree
@@ -271,3 +273,85 @@ def random_bundle(rng: random.Random) -> TraceBundle:
         auxiliaries=tuple(_section(rng) for _ in range(rng.randint(0, 2))),
         properties=tuple(_section(rng) for _ in range(rng.randint(0, 2))),
     )
+
+
+# --- reference term parser ------------------------------------------------------
+
+_REFERENCE_ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
+_REFERENCE_SPACE = " \t\n\r"
+
+
+def reference_parse_term_cached(text, pos, memo):
+    """The explicit-stack term parser that read every term before the flat
+    fast path, kept as the reference for it."""
+    if pos in memo:
+        return memo[pos]
+    match = _REFERENCE_ATOM_RE.match(text, pos)
+    if not match:
+        return None
+    cursor = match.end()
+    if cursor >= len(text) or text[cursor] != "(":
+        return None
+    cursor += 1
+    stack = [(pos, match.group(0), [])]
+    while True:
+        while cursor < len(text) and text[cursor] in _REFERENCE_SPACE:
+            cursor += 1
+        match = _REFERENCE_ATOM_RE.match(text, cursor)
+        if not match:
+            break
+        cursor = match.end()
+        if cursor < len(text) and text[cursor] == "(":
+            stack.append((match.start(), match.group(0), []))
+            cursor += 1
+            continue
+        arg = match.group(0)
+        while True:
+            stack[-1][2].append(arg)
+            while cursor < len(text) and text[cursor] in _REFERENCE_SPACE:
+                cursor += 1
+            delimiter = text[cursor : cursor + 1]
+            cursor += 1
+            if delimiter != ")":
+                break
+            start, functor, args = stack.pop()
+            arg = f"{functor}({', '.join(args)})"
+            memo[start] = (arg, cursor)
+            if not stack:
+                return memo[start]
+        if delimiter != ",":
+            break
+    for start, _, _ in stack:
+        memo[start] = None
+    return None
+
+
+# Parts of near-flat terms: atoms, and words and blanks that are not.
+NEAR_ATOMS = ("a", "b1", "cD_2", "not", "X", "Y1", "\xe9", "7", "")
+NEAR_BLANKS = ("", "", "", " ", " ", "\t", "\r", "\n", "\f", "\v", "\xa0")
+
+
+@st.composite
+def near_flat_terms(draw):
+    """Term-like text near the flat fragment: a functor over atoms, with
+    blanks between tokens, now and then a nested or negated term, an
+    uppercase argument, a bad character or no arguments at all."""
+
+    def atom():
+        return draw(st.sampled_from(NEAR_ATOMS))
+
+    def blank():
+        return draw(st.sampled_from(NEAR_BLANKS))
+
+    text = atom()
+    if draw(st.booleans()):
+        args = []
+        for _ in range(draw(st.integers(0, 4))):
+            arg = atom()
+            if draw(st.integers(0, 5)) == 0:
+                arg += f"({atom()})"
+            args.append(blank() + arg + blank())
+        text += blank() + "(" + ",".join(args) + ")"
+    if draw(st.integers(0, 3)) == 0:
+        text = f"not({text})"
+    return text

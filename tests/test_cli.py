@@ -263,6 +263,47 @@ def test_compare_requires_two_sources(workdir, capsys):
     assert "two --source" in capsys.readouterr().err
 
 
+def test_solve_rejects_a_repeated_source(workdir, capsys):
+    # one source named twice wrote its trace twice, the second with "-2"
+    out = workdir / "out"
+    status = main(
+        ["solve", *_common(workdir, "eu.rules"),
+         "--source", "directive_2010_64", "--source", "directive_2010_64",
+         "--out", str(out)]
+    )
+    assert status == EXIT_USAGE
+    assert "source directive_2010_64 is named twice" in capsys.readouterr().err
+    assert not list(out.glob("*.trace"))
+
+
+def test_compare_rejects_a_repeated_source(workdir, capsys):
+    # each run's second report overwrote its first, and stability counted both
+    out = workdir / "out"
+    status = main(
+        ["compare", *_common(workdir, "eu.rules"),
+         "--source", "directive_2010_64", "--source", "directive_2010_64",
+         "--mock-dir", str(workdir / "mock"),
+         "--repetitions", "2", "--out", str(out)]
+    )
+    assert status == EXIT_USAGE
+    assert "source directive_2010_64 is named twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_rejects_a_repeated_source(workdir, capsys):
+    config_path = workdir / "run.json"
+    config_path.write_text(
+        json.dumps({"sources": ["directive_2010_64_pl", "directive_2010_64_pl"]}),
+        encoding="utf-8",
+    )
+    status = main(
+        ["solve", *_common(workdir, "pl.rules"), "--config", str(config_path),
+         "--out", str(workdir / "out")]
+    )
+    assert status == EXIT_USAGE
+    assert "named twice" in capsys.readouterr().err
+
+
 def test_explain_requires_exactly_one_source(workdir, capsys):
     status = main(
         ["explain", *_common(workdir, "eu.rules", "pl.rules"),

@@ -11,13 +11,24 @@ from hypothesis import strategies as st
 from lexplain import fixtures
 from lexplain.dsl import (
     DslError,
+    _parse_term,
     _tokenize_line,
+    _TokenStream,
     parse_facts,
     parse_rules,
     serialize_facts,
     serialize_rules,
 )
-from lexplain.kb import KbError, SafetyError, StratificationError, Term
+from lexplain.kb import (
+    CaseFacts,
+    KbError,
+    SafetyError,
+    StratificationError,
+    Term,
+    format_term,
+)
+
+from conftest import NEAR_BLANKS, near_flat_terms
 
 HEADER = "%% source: s\n%% jurisdiction: X\n%% article: a1\n%% title: Article 1\n"
 
@@ -305,4 +316,93 @@ def test_tokenizer_reports_other_characters(text, col):
     assert (err.value.line, err.value.col) == (2, col)
     assert str(err.value) == (
         f"line 2, column {col}: unexpected character {text[col - 1]!r}"
+    )
+
+
+def _reference_parse_facts(text: str) -> CaseFacts:
+    """parse_facts as it read every line before its fact-line pattern, kept
+    as the reference for it."""
+    facts = set()
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        tokens: list = []
+        _tokenize_line(line, line_no, tokens)
+        if not tokens:
+            continue
+        stream = _TokenStream(tokens)
+        term = _parse_term(stream)
+        stream.next("DOT")
+        if not stream.exhausted:
+            extra = stream.peek()
+            raise DslError(
+                f"unexpected input after fact: {extra.value!r}",
+                extra.line,
+                extra.col,
+            )
+        if not term.is_ground:
+            name = sorted(term.variables())[0]
+            raise DslError(
+                f"non-ground fact {format_term(term)} (variable {name})",
+                line_no,
+            )
+        facts.add(term)
+    return CaseFacts(frozenset(facts))
+
+
+def _facts_outcome(parse, text: str):
+    try:
+        return parse(text)
+    except DslError as exc:
+        return (str(exc), exc.line, exc.col)
+
+
+@st.composite
+def _near_fact_lines(draw):
+    lead, before_dot, after_dot = (
+        draw(st.sampled_from(NEAR_BLANKS)) for _ in range(3)
+    )
+    end = draw(st.sampled_from([".", ".", ".", "", "..", ". p", ":- q."]))
+    comment = draw(st.sampled_from(["", "", "% note", "%", "%%", "% p(X)."]))
+    return lead + draw(near_flat_terms()) + before_dot + end + after_dot + comment
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        # listed twice, so half the examples are near-fact lines
+        st.lists(_near_fact_lines(), min_size=1, max_size=8).map("\n".join),
+        st.lists(_near_fact_lines(), min_size=1, max_size=8).map("\n".join),
+        st.lists(TOKENIZER_PIECES).map("".join),
+        st.text(),
+    )
+)
+def test_parse_facts_matches_the_tokenizer_path(text):
+    assert _facts_outcome(parse_facts, text) == _facts_outcome(
+        _reference_parse_facts, text
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p.\n",
+        " \t p ( a ,b\t) . % note\n",
+        "p(a).%\n",
+        "p(not).\n",
+        "not(a).\n",
+        "not.\n",
+        "p(X).\n",
+        "p(f(a)).\n",
+        "p(a)\xa0.\n",
+        "p(a).\fq(b).\n",
+        "p(a)\v.\n",
+        "p().\n",
+        "p(a) .. \n",
+        "X(a).\n",
+        "Y1.\n",
+        "\xe9(a).\n",
+    ],
+)
+def test_parse_facts_edge_lines_match_the_tokenizer_path(text):
+    assert _facts_outcome(parse_facts, text) == _facts_outcome(
+        _reference_parse_facts, text
     )

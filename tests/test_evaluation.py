@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lexplain import fixtures
 from lexplain.evaluation import (
     COMPARISON_SECTIONS,
     TRANSLATION_SECTIONS,
@@ -18,6 +19,7 @@ from lexplain.evaluation import (
     FormResult,
     GroundednessResult,
     _normalize_for_match,
+    _scan_spans,
     check_completeness,
     check_form,
     check_groundedness,
@@ -27,7 +29,9 @@ from lexplain.evaluation import (
     scan_output_terms,
     stability,
 )
-from lexplain.trace import parse_term_cached
+from lexplain.trace import parse_term_at, parse_term_cached, parse_trace
+
+from conftest import near_flat_terms, reference_parse_term_cached
 
 MISSED_INFERENCE = "essential_document(art3_2, mario, documents)"
 
@@ -514,3 +518,62 @@ def test_appending_text_is_monotone(listing2_doc, suffix):
         check_groundedness(base + suffix, listing2_doc).hallucinated_terms
     )
     assert before_hall <= after_hall
+
+
+# --- the flat fast path against the stack parser ----------------------------------
+
+
+_REFERENCE_WORD_RE = re.compile(r"\w*")
+
+
+def _reference_spans(text):
+    """_scan_spans as it read every candidate before the flat fast path."""
+    memo, spans = {}, []
+    backwards = text[::-1]
+    pos = text.find("(")
+    while pos != -1:
+        word = _REFERENCE_WORD_RE.match(backwards, len(text) - pos).group()
+        start = pos - len(word)
+        parsed = reference_parse_term_cached(text, start, memo)
+        if parsed is not None:
+            spans.append((start, parsed[1], parsed[0]))
+        pos = text.find("(", pos + 1)
+    return spans
+
+
+def _reference_groundedness(text, trace):
+    hallucinated, flagged_end = {}, 0
+    for start, end, candidate in _reference_spans(text):
+        if start >= flagged_end and candidate not in trace.known_terms:
+            hallucinated[candidate] = None
+            flagged_end = end
+    return GroundednessResult(hallucinated_terms=tuple(hallucinated))
+
+
+_LISTING1 = parse_trace(fixtures.listing1_trace())
+_CITED_TEXT = st.lists(
+    st.one_of(
+        near_flat_terms(),
+        st.sampled_from(_LISTING1.terms),
+        st.sampled_from(
+            [" ", "\n", "\f", "\v", "\xa0", "(", ")", ",", " (", "holds (",
+             "% ", "b(", "not(", "X(", "\xe9("]
+        ),
+    ),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_CITED_TEXT, st.text()))
+def test_scan_and_groundedness_match_the_stack_parser(text):
+    spans = _reference_spans(text)
+    assert list(_scan_spans(text)) == spans
+    assert scan_output_terms(text) == [term for _, _, term in spans]
+    assert check_groundedness(text, _LISTING1) == _reference_groundedness(
+        text, _LISTING1
+    )
+    for pos in range(len(text)):
+        assert parse_term_at(text, pos) == reference_parse_term_cached(
+            text, pos, {}
+        )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,12 @@ from lexplain.trace import (
     render_trace,
 )
 
-from conftest import random_bundle, random_fact_set
+from conftest import (
+    near_flat_terms,
+    random_bundle,
+    random_fact_set,
+    reference_parse_term_cached,
+)
 
 
 def test_render_matches_golden_eu(eu_kb, mario_facts, listing1_text):
@@ -565,3 +571,60 @@ def test_near_valid_documents_parse_exactly_or_name_a_line(text):
         assert 1 <= err.line <= text.count("\n") + 1
     else:
         assert render_document(doc.bundle) == text
+
+
+def test_restatements_parse_only_roots_and_their_children(
+    listing1_text, listing2_text, monkeypatch
+):
+    calls = []
+    real = trace_module._term_parts
+    monkeypatch.setattr(
+        trace_module, "_term_parts", lambda text: calls.append(text) or real(text)
+    )
+    for text in (listing1_text, listing2_text):
+        bundle = parse_trace(text).bundle
+        trees = [bundle.explanation]
+        trees += [s.tree for s in bundle.auxiliaries + bundle.properties]
+        expected = [n.term for tree in trees for n in tree if n.depth <= 1]
+        calls.clear()
+        restated = trace_module.TraceDocument(text, bundle).restatements
+        assert calls == expected
+        assert restated
+
+
+def _reference_canonical_term_text(text: str) -> str:
+    """canonical_term_text as it read every term before the flat fast path."""
+    if re.fullmatch(r"[a-z][A-Za-z0-9_]*", text):
+        return text
+    parsed = reference_parse_term_cached(text, 0, {})
+    if parsed is None or parsed[1] != len(text):
+        raise TraceError(f"malformed term: {text!r}")
+    return parsed[0]
+
+
+def _canonical_outcome(canonicalize, text: str):
+    try:
+        return canonicalize(text)
+    except TraceError as exc:
+        return (type(exc), str(exc))
+
+
+_TERM_PIECES = st.sampled_from(
+    ["f", "g1", "not", "a", "bC_2", "X", "(", ")", ",", ", ", " ", "\t",
+     "\n", "\r", "\f", "\v", "\xa0", "not(", "f(a)", "g(a, b)", "\xe9", "_",
+     "7"]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(
+        near_flat_terms(),
+        st.lists(_TERM_PIECES).map("".join),
+        st.text(),
+    )
+)
+def test_canonical_term_text_matches_the_stack_parser(text):
+    assert _canonical_outcome(canonical_term_text, text) == _canonical_outcome(
+        _reference_canonical_term_text, text
+    )
