@@ -267,7 +267,7 @@ def parse_rules(text: str) -> KnowledgeBase:
             meta = state.require(tokens[0].line)
             clauses.append(_parse_clause_tokens(tokens, *meta))
 
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if stripped.startswith("%%"):
             if pending:
@@ -290,7 +290,7 @@ def parse_rules(text: str) -> KnowledgeBase:
 def parse_facts(text: str) -> CaseFacts:
     """Parse a facts file: one ground, '.'-terminated term per line."""
     facts: set[Term] = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         flat = _FACT_LINE_RE.fullmatch(line)
         if flat and flat[1] != "not":
             facts.add(Term(flat[1], tuple(_ATOM_RE.findall(flat[2] or ""))))

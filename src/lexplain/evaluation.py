@@ -2,10 +2,11 @@
 
 Three criteria are operationalized: form (required section structure),
 completeness (every trace term cited back in the output), and groundedness
-(no term-shaped reference absent from the trace). Matching is exact-string
-after whitespace canonicalization, so a paraphrase does not count; only
-the parenthesized reference does. Juridical validity of the prose is not
-machine-decidable here; reports carry a manual-annotation field instead.
+(no term-shaped reference absent from the trace). Completeness and
+groundedness read the same term scan of the output: a trace term is cited
+when the scan yields its canonical text, so a paraphrase does not count;
+only the parenthesized reference does. Juridical validity of the prose is
+not machine-decidable here; reports carry a manual-annotation field instead.
 """
 
 from __future__ import annotations
@@ -31,9 +32,6 @@ COMPARISON_SECTIONS = (
 
 _ENUM_RE = re.compile(r"^(?:[-*]+|\(?\d+[.)]|\(?[a-z][.)])\s+")
 _WORD_RE = re.compile(r"\w*")
-_MATCH_SPACING = (
-    (" (", "("), ("( ", "("), (" )", ")"), (" ,", ","), (", ", ","), (",", ", ")
-)
 
 
 @dataclass(frozen=True)
@@ -146,51 +144,7 @@ def check_form(output: str, expected_sections: tuple[str, ...]) -> FormResult:
     )
 
 
-# --- completeness --------------------------------------------------------------
-
-
-def _normalize_for_match(text: str) -> str:
-    """Collapse each whitespace run to one space, drop the spaces around
-    ``(`` and before ``)`` and ``,``, and put one space after each comma."""
-    words = text.split()
-    squeezed = " ".join(words)
-    if text[:1].isspace():
-        squeezed = " " + squeezed
-    if words and text[-1:].isspace():
-        squeezed += " "
-    for old, new in _MATCH_SPACING:
-        squeezed = squeezed.replace(old, new)
-    return squeezed
-
-
-def check_completeness(
-    output: str, trace: TraceDocument
-) -> CompletenessResult:
-    """Require every trace term to be cited verbatim in the output.
-
-    Inner conclusion restatements count as cited when their wrapping
-    conclusion is cited.
-    """
-    normalized = _normalize_for_match(output)
-    required, restated = trace.terms, trace.restatements
-    cited_terms: list[str] = []
-    missing: list[str] = []
-    for term in required:
-        wrapper = restated.get(term)
-        if term in normalized or (wrapper is not None and wrapper in normalized):
-            cited_terms.append(term)
-        else:
-            missing.append(term)
-    coverage = len(cited_terms) / len(required) if required else 1.0
-    return CompletenessResult(
-        required_terms=required,
-        cited_terms=tuple(cited_terms),
-        missing_terms=tuple(missing),
-        coverage=coverage,
-    )
-
-
-# --- groundedness ---------------------------------------------------------------
+# --- term scan -----------------------------------------------------------------
 
 
 def _scan_spans(text: str) -> Iterator[tuple[int, int, str]]:
@@ -219,6 +173,39 @@ def scan_output_terms(text: str) -> list[str]:
     text to the output can then only ever grow the candidate list.
     """
     return [term for _, _, term in _scan_spans(text)]
+
+
+# --- completeness --------------------------------------------------------------
+
+
+def check_completeness(
+    output: str, trace: TraceDocument
+) -> CompletenessResult:
+    """Require every trace term to be cited in the output.
+
+    A term is cited when the output's term scan, the one groundedness
+    reads, yields its canonical text. Inner conclusion restatements count
+    as cited when their wrapping conclusion is cited.
+    """
+    scanned = set(scan_output_terms(output))
+    required, restated = trace.terms, trace.restatements
+    cited_terms: list[str] = []
+    missing: list[str] = []
+    for term in required:
+        if term in scanned or restated.get(term) in scanned:
+            cited_terms.append(term)
+        else:
+            missing.append(term)
+    coverage = len(cited_terms) / len(required) if required else 1.0
+    return CompletenessResult(
+        required_terms=required,
+        cited_terms=tuple(cited_terms),
+        missing_terms=tuple(missing),
+        coverage=coverage,
+    )
+
+
+# --- groundedness ---------------------------------------------------------------
 
 
 def check_groundedness(

@@ -364,7 +364,11 @@ def compute_strata(clauses: Iterable[Clause]) -> dict[tuple[str, int], int]:
     """Assign a stratum to every predicate, or fail on negation cycles.
 
     Levels satisfy level(head) >= level(body) for positive dependencies and
-    level(head) > level(body) for negated ones.
+    level(head) > level(body) for negated ones. A path without a repeated
+    predicate raises a level by at most the number of negated edges, so a
+    level above that comes from a cycle through a negated edge: the chain
+    of dependencies that last raised each level, followed from that head,
+    runs into such a cycle, and the error reports it.
     """
     clauses = tuple(clauses)
     edges: list[tuple[tuple[str, int], tuple[str, int], bool]] = []
@@ -377,7 +381,8 @@ def compute_strata(clauses: Iterable[Clause]) -> dict[tuple[str, int], int]:
             preds.add(dep)
             edges.append((head, dep, lit.negated))
     levels = {p: 0 for p in preds}
-    max_level = sum(1 for _, _, neg in edges if neg) + 1
+    raised_by: dict[tuple[str, int], tuple[str, int]] = {}
+    max_level = sum(1 for _, _, neg in edges if neg)
     changed = True
     while changed:
         changed = False
@@ -385,42 +390,15 @@ def compute_strata(clauses: Iterable[Clause]) -> dict[tuple[str, int], int]:
             need = levels[dep] + (1 if negated else 0)
             if levels[head] < need:
                 levels[head] = need
-                if levels[head] > max_level:
-                    raise StratificationError(_negation_cycle(edges))
+                raised_by[head] = dep
+                if need > max_level:
+                    chain = [head]
+                    while chain[-1] not in chain[:-1]:
+                        chain.append(raised_by[chain[-1]])
+                    cycle = chain[chain.index(chain[-1]):]
+                    raise StratificationError([f"{f}/{n}" for f, n in cycle])
                 changed = True
     return levels
-
-
-def _negation_cycle(
-    edges: list[tuple[tuple[str, int], tuple[str, int], bool]]
-) -> list[str]:
-    # Find some cycle containing a negated edge, for the error message.
-    adjacency: dict[tuple[str, int], list[tuple[str, int]]] = {}
-    for head, dep, _ in edges:
-        adjacency.setdefault(head, []).append(dep)
-
-    def path(start: tuple[str, int], goal: tuple[str, int]) -> list | None:
-        stack = [(start, [start])]
-        seen = set()
-        while stack:
-            node, trail = stack.pop()
-            if node == goal:
-                return trail
-            if node in seen:
-                continue
-            seen.add(node)
-            for nxt in adjacency.get(node, ()):
-                stack.append((nxt, trail + [nxt]))
-        return None
-
-    for head, dep, negated in edges:
-        if not negated:
-            continue
-        back = path(dep, head)
-        if back is not None:
-            cycle = [head] + back
-            return [f"{f}/{n}" for f, n in cycle]
-    return ["<unknown>"]
 
 
 def format_term(term: Term) -> str:

@@ -177,6 +177,23 @@ def test_parse_facts_duplicates_collapse():
     assert len(facts) == 1
 
 
+@pytest.mark.parametrize(
+    "text, char", [("p(a).\x85q(X).\n", "\x85"), ("p(a).\fq(b).\n", "\f")]
+)
+def test_lines_break_only_at_newline(text, char):
+    # \x85 and \f break a line for str.splitlines, but not in an editor
+    with pytest.raises(DslError) as err:
+        parse_facts(text)
+    assert str(err.value) == f"line 1, column 6: unexpected character {char!r}"
+
+
+def test_crlf_files_parse_like_lf_files():
+    for text in (fixtures.eu_rules_text(), fixtures.pl_rules_text()):
+        assert parse_rules(text.replace("\n", "\r\n")) == parse_rules(text)
+    facts = fixtures.mario_facts_text()
+    assert parse_facts(facts.replace("\n", "\r\n")) == parse_facts(facts)
+
+
 def test_serialize_facts_round_trip(mario_facts):
     assert parse_facts(serialize_facts(mario_facts)) == mario_facts
 
@@ -323,7 +340,7 @@ def _reference_parse_facts(text: str) -> CaseFacts:
     """parse_facts as it read every line before its fact-line pattern, kept
     as the reference for it."""
     facts = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         tokens: list = []
         _tokenize_line(line, line_no, tokens)
         if not tokens:

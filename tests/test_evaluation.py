@@ -18,7 +18,6 @@ from lexplain.evaluation import (
     EvaluationReport,
     FormResult,
     GroundednessResult,
-    _normalize_for_match,
     _scan_spans,
     check_completeness,
     check_form,
@@ -165,33 +164,6 @@ def test_form_equals_pairwise_reference(lines, separator, sections):
 # --- completeness -----------------------------------------------------------
 
 
-def _reference_normalize(text):
-    """The earlier four-pass regex canonicalization."""
-    text = re.sub(r"\s*\(\s*", "(", text)
-    text = re.sub(r"\s*\)", ")", text)
-    text = re.sub(r"\s*,\s*", ", ", text)
-    return re.sub(r"\s+", " ", text)
-
-
-_SPACES = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000"
-_PUNCTUATION_TEXT = st.lists(
-    st.sampled_from(["(", ")", ",", "a", "p(", *_SPACES, "  "]), max_size=30
-).map("".join)
-
-
-@settings(max_examples=500, deadline=None)
-@given(
-    st.text(alphabet=_SPACES, max_size=3),
-    st.one_of(st.text(), _PUNCTUATION_TEXT),
-    st.text(alphabet=_SPACES, max_size=3),
-)
-def test_normalization_equals_regex_reference(lead, body, trail):
-    text = lead + body + trail
-    assert _normalize_for_match(text) == _reference_normalize(text)
-
-
-
-
 def test_pl_output_is_complete(pl_output, listing2_doc):
     result = check_completeness(pl_output, listing2_doc)
     assert result.missing_terms == ()
@@ -239,6 +211,23 @@ def test_paraphrase_does_not_count(listing2_doc):
     output = "You have a document containing a charge."
     result = check_completeness(output, listing2_doc)
     assert "person_document(mario, charge)" in result.missing_terms
+
+
+def test_term_glued_to_a_longer_word_is_not_cited(listing2_doc):
+    # the scan reads one term, fake_person_document(...), and so do both checks
+    output = "You hold fake_person_document(mario, charge)."
+    completeness = check_completeness(output, listing2_doc)
+    assert "person_document(mario, charge)" in completeness.missing_terms
+    assert check_groundedness(output, listing2_doc).hallucinated_terms == (
+        "fake_person_document(mario, charge)",
+    )
+
+
+def test_functor_apart_from_its_parenthesis_is_not_cited(listing2_doc):
+    output = "person_document (mario, charge) and fake (a)"
+    completeness = check_completeness(output, listing2_doc)
+    assert "person_document(mario, charge)" in completeness.missing_terms
+    assert scan_output_terms(output) == []
 
 
 def test_coverage_bounds(listing1_doc):
@@ -562,6 +551,21 @@ _CITED_TEXT = st.lists(
     ),
     max_size=12,
 ).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_CITED_TEXT, st.text()))
+def test_completeness_cites_exactly_the_scanned_terms(text):
+    scanned = set(scan_output_terms(text))
+    restated = _LISTING1.restatements
+    expected = tuple(
+        term
+        for term in _LISTING1.terms
+        if term in scanned or restated.get(term) in scanned
+    )
+    result = check_completeness(text, _LISTING1)
+    assert result.cited_terms == expected
+    assert set(result.missing_terms) == set(_LISTING1.terms) - set(expected)
 
 
 @settings(max_examples=500, deadline=None)

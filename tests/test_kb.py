@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexplain.kb import (
     CaseFacts,
@@ -168,6 +170,99 @@ def test_case_facts_collapse_duplicates_and_order():
 
 def test_compute_strata_empty():
     assert compute_strata(()) == {}
+
+
+def _reference_compute_strata(clauses):
+    """compute_strata as it was before the raised_by chain, with its second
+    graph search for the cycle; kept as the reference for verdicts and
+    levels."""
+    edges, preds = [], set()
+    for c in clauses:
+        preds.add(c.head.predicate)
+        for lit in c.body:
+            preds.add(lit.term.predicate)
+            edges.append((c.head.predicate, lit.term.predicate, lit.negated))
+    levels = {p: 0 for p in preds}
+    max_level = sum(1 for _, _, neg in edges if neg) + 1
+    changed = True
+    while changed:
+        changed = False
+        for head, dep, negated in edges:
+            need = levels[dep] + (1 if negated else 0)
+            if levels[head] < need:
+                levels[head] = need
+                if levels[head] > max_level:
+                    raise StratificationError(_reference_negation_cycle(edges))
+                changed = True
+    return levels
+
+
+def _reference_negation_cycle(edges):
+    adjacency = {}
+    for head, dep, _ in edges:
+        adjacency.setdefault(head, []).append(dep)
+
+    def path(start, goal):
+        stack, seen = [(start, [start])], set()
+        while stack:
+            node, trail = stack.pop()
+            if node == goal:
+                return trail
+            if node in seen:
+                continue
+            seen.add(node)
+            for nxt in adjacency.get(node, ()):
+                stack.append((nxt, trail + [nxt]))
+        return None
+
+    for head, dep, negated in edges:
+        if negated:
+            back = path(dep, head)
+            if back is not None:
+                return [f"{f}/{n}" for f, n in [head] + back]
+    return ["<unknown>"]
+
+
+_ATOMS = st.sampled_from(
+    [Term("p"), Term("q"), Term("r"), Term("s"), Term("p", ("a",))]
+)
+_PROGRAMS = st.lists(
+    st.builds(
+        lambda head, body: clause(
+            head, *(Literal(term, negated=neg) for term, neg in body)
+        ),
+        _ATOMS,
+        st.lists(st.tuples(_ATOMS, st.booleans()), max_size=3),
+    ),
+    max_size=7,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_PROGRAMS)
+def test_compute_strata_equals_the_two_pass_reference(clauses):
+    try:
+        expected = _reference_compute_strata(clauses)
+    except StratificationError:
+        expected = None
+    try:
+        levels = compute_strata(clauses)
+    except StratificationError as err:
+        cycle = err.cycle
+    else:
+        assert levels == expected
+        return
+    assert expected is None
+    name = "{}/{}".format
+    edges = {
+        (name(*c.head.predicate), name(*lit.term.predicate), lit.negated)
+        for c in clauses
+        for lit in c.body
+    }
+    steps = list(zip(cycle, cycle[1:]))
+    assert steps and cycle[0] == cycle[-1]
+    assert all((a, b, False) in edges or (a, b, True) in edges for a, b in steps)
+    assert any((a, b, True) in edges for a, b in steps)
 
 
 def test_sources_unique_labels_enforced():
