@@ -13,10 +13,11 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 from .chain import (
+    _checked,
     build_translation_prompt,
     dumps_json,
     run_repeated,
@@ -27,6 +28,7 @@ from .dsl import DslError, parse_facts, parse_rules
 from .engine import EngineError, derive_rights
 from .evaluation import (
     TRANSLATION_SECTIONS,
+    check_form,
     evaluate,
     report_to_json,
     stability,
@@ -57,129 +59,78 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Resolved settings for one command; flags beat the config file."""
-
-    kb_paths: list[str]
-    facts_path: str | None
-    sources: list[str]
-    person: str | None
-    mock_dir: str | None
-    repetitions: int
-    output_dir: str
-    llm: LlmConfig
-
-
-# Config-file keys and the JSON type of each value; lists hold strings.
-_CONFIG_TYPES = {
-    "kb": list,
-    "facts": str,
-    "sources": list,
-    "person": str,
-    "mock_dir": str,
-    "repetitions": int,
-    "out": str,
-    "model": str,
+# Config-file keys and the JSON types of each value, as _checked reads them.
+_SETTINGS = {
+    "kb": [str],
+    "facts": (str,),
+    "sources": [str],
+    "person": (str,),
+    "mock_dir": (str,),
+    "repetitions": (int,),
+    "out": (str,),
+    "model": (str,),
     "temperature": (int, float),
-    "max_tokens": int,
-    "base_url": str,
+    "max_tokens": (int,),
+    "base_url": (str,),
     "timeout": (int, float),
 }
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(data, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(data) - set(_CONFIG_TYPES))
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    for key, value in data.items():
-        items = value if isinstance(value, list) else ()
-        if (
-            not isinstance(value, _CONFIG_TYPES[key])
-            or isinstance(value, bool)
-            or not all(isinstance(item, str) for item in items)
-        ):
-            raise UsageError(f"config key {key} has a mistyped value: {value!r}")
-    return data
-
-
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    file_cfg = _load_config_file(getattr(args, "config", None))
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            return file_cfg[key]
-        return default
-
-    mock_dir = pick(getattr(args, "mock_dir", None), "mock_dir", None)
-    base_url_given = "base_url" in file_cfg
-    if mock_dir is not None and base_url_given:
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """args with each flag no one gave filled from the --config file, then
+    the defaults, and the LLM settings gathered into args.llm."""
+    data = {}
+    if args.config is not None:
+        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object")
+        types = {key: t for key, t in _SETTINGS.items() if key in data}
+        try:
+            _checked(data, types, "config file")
+        except ValueError as exc:
+            raise UsageError(str(exc))
+    defaults = {"kb": [], "sources": [], "repetitions": 1, "out": "out"}
+    for key in _SETTINGS:
+        if getattr(args, key, None) is None:
+            setattr(args, key, data.get(key, defaults.get(key)))
+    if args.mock_dir is not None and "base_url" in data:
         raise UsageError("mock_dir and a live base_url are mutually exclusive")
-    llm_kwargs = {}
-    for attr, key in (
-        ("model_id", "model"),
-        ("temperature", "temperature"),
-        ("max_tokens", "max_tokens"),
-        ("base_url", "base_url"),
-        ("timeout", "timeout"),
-    ):
-        value = pick(getattr(args, key, None), key, None)
-        if value is not None:
-            llm_kwargs[attr] = value
+    llm = {"model_id": args.model, "temperature": args.temperature,
+           "max_tokens": args.max_tokens, "base_url": args.base_url,
+           "timeout": args.timeout}
     try:
-        llm = LlmConfig(**llm_kwargs)
+        args.llm = LlmConfig(**{k: v for k, v in llm.items() if v is not None})
     except ValueError as exc:
         raise UsageError(str(exc))
-    repetitions = pick(getattr(args, "repetitions", None), "repetitions", 1)
-    if repetitions < 1:
+    if args.repetitions < 1:
         raise UsageError("--repetitions must be >= 1")
-    sources = list(pick(getattr(args, "source", None), "sources", []))
-    for index, source_id in enumerate(sources):
-        if source_id in sources[:index]:
+    for index, source_id in enumerate(args.sources):
+        if source_id in args.sources[:index]:
             raise UsageError(f"source {source_id} is named twice")
-    return RunConfig(
-        kb_paths=list(pick(getattr(args, "kb", None), "kb", [])),
-        facts_path=pick(getattr(args, "facts", None), "facts", None),
-        sources=sources,
-        person=pick(getattr(args, "person", None), "person", None),
-        mock_dir=mock_dir,
-        repetitions=repetitions,
-        output_dir=pick(getattr(args, "out", None), "out", "out"),
-        llm=llm,
-    )
+    return args
 
 
-def _load_inputs(cfg: RunConfig):
-    if not cfg.kb_paths:
+def _load_inputs(cfg: argparse.Namespace):
+    if not cfg.kb:
         raise UsageError("at least one --kb file is required")
-    if cfg.facts_path is None:
+    if cfg.facts is None:
         raise UsageError("--facts is required")
     if cfg.person is None:
         raise UsageError("--person is required")
-    kbs = [
-        parse_rules(Path(p).read_text(encoding="utf-8")) for p in cfg.kb_paths
-    ]
-    kb = merge(kbs)
-    facts = parse_facts(Path(cfg.facts_path).read_text(encoding="utf-8"))
+    kb = merge([parse_rules(Path(p).read_text(encoding="utf-8")) for p in cfg.kb])
+    facts = parse_facts(Path(cfg.facts).read_text(encoding="utf-8"))
     return kb, facts
 
 
-def _make_client(cfg: RunConfig, cycle: bool) -> CompletionClient:
+def _make_client(cfg: argparse.Namespace, cycle: bool) -> CompletionClient:
     # Offline guarantee: with a mock dir, the live client is never built.
     if cfg.mock_dir is not None:
         return mock_from_dir(cfg.mock_dir, cycle=cycle)
     return HttpCompletionClient()
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    path = Path(cfg.output_dir)
+def _out_dir(cfg: argparse.Namespace) -> Path:
+    path = Path(cfg.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -298,9 +249,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    sections = tuple(args.sections) if args.sections else TRANSLATION_SECTIONS
+    try:
+        check_form("", sections)  # a duplicate or empty section is a usage error
+    except ValueError as exc:
+        raise UsageError(str(exc))
     output_text = Path(args.output_file).read_text(encoding="utf-8")
     trace_doc = parse_trace(Path(args.trace_file).read_text(encoding="utf-8"))
-    sections = tuple(args.sections) if args.sections else TRANSLATION_SECTIONS
     data = report_to_json(evaluate(output_text, trace_doc, sections))
     print(dumps_json(data))
     if args.out is not None:
@@ -317,7 +272,11 @@ def _add_common(parser: argparse.ArgumentParser, with_llm: bool) -> None:
     )
     parser.add_argument("--facts", metavar="FILE", help="case facts file")
     parser.add_argument(
-        "--source", action="append", metavar="ID", help="legal source id"
+        "--source",
+        action="append",
+        dest="sources",
+        metavar="ID",
+        help="legal source id",
     )
     parser.add_argument("--person", metavar="ATOM", help="person the case is about")
     parser.add_argument("--out", metavar="DIR", help="output directory (default: out)")
@@ -394,10 +353,8 @@ def main(argv: list[str] | None = None) -> int:
     except GatewayError as exc:
         print(f"gateway error: {exc}", file=sys.stderr)
         return EXIT_GATEWAY
-    except (DslError, KbError, TraceError, EngineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (DslError, KbError, TraceError, EngineError, OSError,
+            UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -104,8 +104,9 @@ def check_form(output: str, expected_sections: tuple[str, ...]) -> FormResult:
     """Verify the expected section headers appear, in order, exactly once.
 
     Headers are matched case-insensitively at line starts, tolerating
-    leading enumeration markers and trailing colons. Failures are results,
-    not errors.
+    leading enumeration markers and trailing colons. Only a line feed ends
+    a line. Failures are results, not errors; ValueError names an expected
+    section that is empty or the same header as an earlier one.
     """
     if not expected_sections:
         raise ValueError("expected_sections must be nonempty")
@@ -113,8 +114,13 @@ def check_form(output: str, expected_sections: tuple[str, ...]) -> FormResult:
         (name, _normalize_heading(name).rstrip(":").rstrip())
         for name in expected_sections
     ]
+    for index, (name, head) in enumerate(heads):
+        if not head:
+            raise ValueError(f"expected section {name!r} has no header text")
+        if head in (h for _, h in heads[:index]):
+            raise ValueError(f"expected section {name!r} repeats an earlier one")
     hits: dict[str, list[int]] = {name: [] for name in expected_sections}
-    for idx, line in enumerate(output.splitlines()):
+    for idx, line in enumerate(output.split("\n")):
         norm = _normalize_heading(line)
         if not norm:
             continue

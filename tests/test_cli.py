@@ -56,6 +56,9 @@ def _common(workdir, *kbs):
     return args + ["--facts", str(workdir / "mario.facts"), "--person", "mario"]
 
 
+SOURCES = ["directive_2010_64", "directive_2010_64_pl"]
+
+
 def test_solve_writes_golden_trace(workdir, capsys):
     out = workdir / "out"
     status = main(
@@ -362,6 +365,30 @@ def test_evaluate_missing_file_is_status_2(workdir, capsys):
     assert status == EXIT_DATA
 
 
+@pytest.mark.parametrize(
+    "sections, message",
+    [(["Summary", "Summary"], "'Summary' repeats an earlier one"),
+     (["Summary", "1. summary:"], "'1. summary:' repeats an earlier one"),
+     (["Summary", " : "], "' : ' has no header text")],
+)
+def test_evaluate_rejects_a_duplicate_or_empty_section(
+    workdir, capsys, sections, message
+):
+    out_file = workdir / "output.txt"
+    out_file.write_text("Summary: x\n(see below)\n", encoding="utf-8")
+    trace_file = workdir / "listing1.trace"
+    trace_file.write_text(fixtures.listing1_trace(), encoding="utf-8")
+    report_path = workdir / "report.json"
+    status = main(
+        ["evaluate", str(out_file), str(trace_file), "--sections", *sections,
+         "--out", str(report_path)]
+    )
+    assert status == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not report_path.exists()
+
+
 # SHA-256 of the stdout of `lexplain evaluate` on each reference output,
 # as printed when the report went through json.dumps(indent=2).
 EVALUATE_STDOUT_DIGESTS = {
@@ -420,11 +447,11 @@ def test_parser_calls_share_no_state():
          "--repetitions", "3", "--temperature", "0.5"]
     )
     second = parser.parse_args(["compare", "--kb", "c", "--source", "z"])
-    assert (first.kb, first.source) == (["a", "b"], ["x", "y"])
-    assert (second.kb, second.source) == (["c"], ["z"])
+    assert (first.kb, first.sources) == (["a", "b"], ["x", "y"])
+    assert (second.kb, second.sources) == (["c"], ["z"])
     assert second.repetitions is None and second.temperature is None
     third = parser.parse_args(["compare"])
-    assert third.kb is None and third.source is None
+    assert third.kb is None and third.sources is None
     assert first.kb == ["a", "b"]
 
 
@@ -498,6 +525,89 @@ def test_config_file_supplies_defaults_and_flags_win(workdir):
     )
     assert status == EXIT_OK
     assert (override / "directive_2010_64_pl-article204_2.trace").exists()
+
+
+FLAGS = {"kb": "--kb", "facts": "--facts", "sources": "--source",
+         "person": "--person", "out": "--out", "mock_dir": "--mock-dir",
+         "model": "--model", "temperature": "--temperature",
+         "repetitions": "--repetitions"}
+# Each run works in its own directory below workdir, so inputs are "../".
+SOLVE_SETTINGS = {"kb": ["../eu.rules", "../pl.rules"],
+                  "facts": "../mario.facts", "person": "mario"}
+COMPARE_SETTINGS = {**SOLVE_SETTINGS, "sources": SOURCES, "mock_dir": "../mock"}
+
+
+@pytest.mark.parametrize(
+    "command, key, value, other",
+    [
+        ("solve", "kb", ["../eu.rules"], ["../pl.rules"]),
+        ("solve", "facts", "../mario.facts", "../nobody.facts"),
+        ("solve", "sources", SOURCES[:1], SOURCES[1:]),
+        ("solve", "person", "mario", "nobody"),
+        ("solve", "out", "o1", "o2"),
+        ("compare", "mock_dir", "../mock", "../nope"),
+        ("compare", "model", "model-a", "model-b"),
+        ("compare", "temperature", 0.5, 0.25),
+        ("compare", "repetitions", 1, 2),
+    ],
+)
+def test_config_file_fills_each_absent_flag_and_a_given_flag_wins(
+    workdir, monkeypatch, command, key, value, other
+):
+    (workdir / "nobody.facts").write_text("person(mario).\n", encoding="utf-8")
+    full = SOLVE_SETTINGS if command == "solve" else COMPARE_SETTINGS
+    base = {k: v for k, v in full.items() if k != key}
+    runs = iter(range(4))
+
+    def outcome(flags: dict, from_file: dict):
+        run_dir = workdir / f"run{next(runs)}"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        argv = [command]
+        for flag_key, flag_value in {**base, **flags}.items():
+            for item in flag_value if isinstance(flag_value, list) else [flag_value]:
+                argv += [FLAGS[flag_key], str(item)]
+        if from_file:
+            Path("c.json").write_text(json.dumps(from_file), encoding="utf-8")
+            argv += ["--config", "c.json"]
+        status = main(argv)
+        files = {
+            str(path.relative_to(run_dir)): re.sub(
+                r',\n  "created_at": "[^"]*"', "", path.read_text(encoding="utf-8")
+            )
+            for path in run_dir.rglob("*")
+            if path.is_file() and path.name != "c.json"
+        }
+        return status, files
+
+    with_flag = outcome({key: value}, {})
+    with_other_flag = outcome({key: other}, {})
+    assert with_flag != with_other_flag
+    assert outcome({}, {key: value}) == with_flag
+    assert outcome({key: other}, {key: value}) == with_other_flag
+
+
+def test_config_file_names_its_first_unknown_key(workdir, capsys):
+    (workdir / "c.json").write_text(
+        json.dumps({"out": "o", "colour": "red", "size": 2}), encoding="utf-8"
+    )
+    argv = ["solve", *_common(workdir, "eu.rules"),
+            "--config", str(workdir / "c.json")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config file has an unknown field 'colour'" in err
+
+
+def test_config_file_names_a_mistyped_field_and_its_type(workdir, capsys):
+    (workdir / "c.json").write_text(
+        json.dumps({"temperature": "hot"}), encoding="utf-8"
+    )
+    argv = ["explain", *_common(workdir, "eu.rules"),
+            "--source", "directive_2010_64", "--mock-dir", str(workdir / "mock"),
+            "--config", str(workdir / "c.json")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config file field 'temperature' is of type str" in err
 
 
 def test_mock_dir_and_base_url_mutually_exclusive(workdir, capsys):
@@ -754,7 +864,6 @@ def _near(text: str) -> st.SearchStrategy[str]:
     return st.one_of(st.just(text), st.just(text), spliced, st.text())
 
 
-SOURCES = ["directive_2010_64", "directive_2010_64_pl"]
 # Path-valued keys name files inside the run's directory only.
 CONFIG_VALUES = {
     "kb": st.lists(st.sampled_from(["eu.rules", "pl.rules", "nope"]), max_size=2),
@@ -838,11 +947,15 @@ def test_cli_returns_a_documented_code_on_any_input(
         if config is not None and command != "evaluate":
             (work / "c.json").write_text(config, encoding="utf-8")
             argv += ["--config", "c.json"]
+        entries = sorted(os.listdir(work))
         cwd = os.getcwd()
         os.chdir(work)
         try:
             status = main(argv)
         finally:
             os.chdir(cwd)
+        if status == EXIT_USAGE:
+            # settings are resolved before anything is written
+            assert sorted(os.listdir(work)) == entries
     assert status in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NO_RESULT,
                       EXIT_GATEWAY)

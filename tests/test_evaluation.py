@@ -93,6 +93,26 @@ def test_form_rejects_empty_expectations(eu_output):
         check_form(eu_output, ())
 
 
+@pytest.mark.parametrize(
+    "sections, message",
+    [(("Summary", "1. summary:"), "'1. summary:' repeats an earlier one"),
+     (("",), "'' has no header text"),
+     (("Summary", "- :"), "'- :' has no header text")],
+)
+def test_form_rejects_a_duplicate_or_empty_section(sections, message):
+    # one "Summary" line satisfied both sections; "" matched any line
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_form("Summary: x\n(see below)\n", sections)
+
+
+def test_form_breaks_lines_at_line_feeds_only():
+    breaks = "Summary: x\x0cWhat Rights do You Have: y\x85Why do You Have Them: z"
+    spaces = "Summary: x What Rights do You Have: y Why do You Have Them: z"
+    result = check_form(breaks, TRANSLATION_SECTIONS)
+    assert result == check_form(spaces, TRANSLATION_SECTIONS)
+    assert result.sections_found == ("Summary",)
+
+
 _REFERENCE_ENUM_RE = re.compile(r"^(?:[-*]+|\(?\d+[.)]|\(?[a-z][.)])\s+")
 
 
@@ -115,7 +135,7 @@ def _reference_form(output, expected_sections):
         return not rest or not (rest[0].isalnum() or rest[0] == "_")
 
     hits = {name: [] for name in expected_sections}
-    for idx, line in enumerate(output.splitlines()):
+    for idx, line in enumerate(output.split("\n")):
         if not line.strip():
             continue
         for name in expected_sections:
@@ -158,7 +178,12 @@ _SECTIONS = st.one_of(
 )
 def test_form_equals_pairwise_reference(lines, separator, sections):
     output = separator.join(lines)
-    assert check_form(output, sections) == _reference_form(output, sections)
+    heads = [_reference_heading(name).rstrip(":").rstrip() for name in sections]
+    if "" in heads or len(set(heads)) < len(heads):
+        with pytest.raises(ValueError):
+            check_form(output, sections)
+    else:
+        assert check_form(output, sections) == _reference_form(output, sections)
 
 
 # --- completeness -----------------------------------------------------------
