@@ -76,9 +76,9 @@ _SETTINGS = {
 }
 
 
-def _resolve(args: argparse.Namespace) -> argparse.Namespace:
-    """args with each flag no one gave filled from the --config file, then
-    the defaults, and the LLM settings gathered into args.llm."""
+def _resolve(args: argparse.Namespace) -> None:
+    """Fill each flag no one gave in args from the --config file, then the
+    defaults, and gather the LLM settings into args.llm."""
     data = {}
     if args.config is not None:
         data = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -107,30 +107,29 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     for index, source_id in enumerate(args.sources):
         if source_id in args.sources[:index]:
             raise UsageError(f"source {source_id} is named twice")
-    return args
 
 
-def _load_inputs(cfg: argparse.Namespace):
-    if not cfg.kb:
+def _load_inputs(args: argparse.Namespace):
+    if not args.kb:
         raise UsageError("at least one --kb file is required")
-    if cfg.facts is None:
+    if args.facts is None:
         raise UsageError("--facts is required")
-    if cfg.person is None:
+    if args.person is None:
         raise UsageError("--person is required")
-    kb = merge([parse_rules(Path(p).read_text(encoding="utf-8")) for p in cfg.kb])
-    facts = parse_facts(Path(cfg.facts).read_text(encoding="utf-8"))
+    kb = merge([parse_rules(Path(p).read_text(encoding="utf-8")) for p in args.kb])
+    facts = parse_facts(Path(args.facts).read_text(encoding="utf-8"))
     return kb, facts
 
 
-def _make_client(cfg: argparse.Namespace, cycle: bool) -> CompletionClient:
+def _make_client(args: argparse.Namespace, cycle: bool) -> CompletionClient:
     # Offline guarantee: with a mock dir, the live client is never built.
-    if cfg.mock_dir is not None:
-        return mock_from_dir(cfg.mock_dir, cycle=cycle)
+    if args.mock_dir is not None:
+        return mock_from_dir(args.mock_dir, cycle=cycle)
     return HttpCompletionClient()
 
 
-def _out_dir(cfg: argparse.Namespace) -> Path:
-    path = Path(cfg.out)
+def _out_dir(args: argparse.Namespace) -> Path:
+    path = Path(args.out)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -155,14 +154,14 @@ def _derive_trace(
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    kb, facts = _load_inputs(cfg)
-    sources = cfg.sources or [s.id for s in kb.sources]
-    out = _out_dir(cfg)
+    _resolve(args)
+    kb, facts = _load_inputs(args)
+    sources = args.sources or [s.id for s in kb.sources]
+    out = _out_dir(args)
     written = []
     names: dict[str, int] = {}
     for source_id in sources:
-        for bundle in derive_rights(cfg.person, source_id, kb, facts):
+        for bundle in derive_rights(args.person, source_id, kb, facts):
             doc = render_trace(bundle, kb)
             stem = f"{source_id}-{bundle.article}"
             # several bundles can share a primary article (distinct options)
@@ -178,18 +177,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    if len(cfg.sources) != 1:
+    _resolve(args)
+    if len(args.sources) != 1:
         raise UsageError("explain needs exactly one --source")
-    kb, facts = _load_inputs(cfg)
-    doc = _derive_trace(kb, facts, cfg.person, cfg.sources[0])
+    kb, facts = _load_inputs(args)
+    doc = _derive_trace(kb, facts, args.person, args.sources[0])
     if doc is None:
-        print(f"no rights derivable for {cfg.person}", file=sys.stderr)
+        print(f"no rights derivable for {args.person}", file=sys.stderr)
         return EXIT_NO_RESULT
-    client = _make_client(cfg, cycle=False)
-    response = client.complete(build_translation_prompt(doc), cfg.llm)
+    client = _make_client(args, cycle=False)
+    response = client.complete(build_translation_prompt(doc), args.llm)
     report = evaluate(response.text, doc, TRANSLATION_SECTIONS)
-    out = _out_dir(cfg)
+    out = _out_dir(args)
     (out / "explanation.txt").write_text(response.text, encoding="utf-8")
     write_json(out / "explanation.report.json", report_to_json(report))
     print(out / "explanation.txt")
@@ -198,24 +197,24 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    if len(cfg.sources) != 2:
+    _resolve(args)
+    if len(args.sources) != 2:
         raise UsageError("compare needs exactly two --source ids")
-    kb, facts = _load_inputs(cfg)
+    kb, facts = _load_inputs(args)
     docs = []
-    for source_id in cfg.sources:
-        doc = _derive_trace(kb, facts, cfg.person, source_id)
+    for source_id in args.sources:
+        doc = _derive_trace(kb, facts, args.person, source_id)
         if doc is None:
             print(
-                f"no rights derivable for {cfg.person} under {source_id}",
+                f"no rights derivable for {args.person} under {source_id}",
                 file=sys.stderr,
             )
             return EXIT_NO_RESULT
         docs.append(doc)
-    client = _make_client(cfg, cycle=True)
-    records = run_repeated(docs[0], docs[1], client, cfg.llm, cfg.repetitions)
-    out = _out_dir(cfg)
-    reports_by_source: dict[str, list] = {s: [] for s in cfg.sources}
+    client = _make_client(args, cycle=True)
+    records = run_repeated(docs[0], docs[1], client, args.llm, args.repetitions)
+    out = _out_dir(args)
+    reports_by_source: dict[str, list] = {s: [] for s in args.sources}
     failures = []
     for record in records:
         if record.run is None:
@@ -223,7 +222,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             continue
         save_run(record.run, out)
         for source_id, doc, output in zip(
-            cfg.sources, docs, record.run.step1_outputs
+            args.sources, docs, record.run.step1_outputs
         ):
             report = evaluate(
                 output, doc, TRANSLATION_SECTIONS, run_index=record.run_index
