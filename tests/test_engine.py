@@ -446,6 +446,30 @@ def test_naf_error_names_the_renamed_variable():
     )
 
 
+def test_naf_error_names_a_variable_first_met_in_a_later_literal():
+    # Z first occurs in the second body literal, so it is made only when
+    # the search enters that literal; its name is the same _<tag>_Z.
+    kb = parse_rules(
+        RULES_HEADER + "p(X) :- s(X), t(Z), not(u(Z)).\nt(Z).\nu(b).\n"
+    )
+    with pytest.raises(NafNonGroundError) as err:
+        solve(Term("p", (V("G"),)), kb, parse_facts("s(a).\n"))
+    assert str(err.value) == (
+        "negation-as-failure subgoal is not ground: not(u(_2_Z))"
+    )
+
+
+def test_tree_names_a_variable_first_met_in_a_later_literal():
+    kb = parse_rules(RULES_HEADER + "p(X) :- s(X), t(X, Z).\nt(X, Z).\n")
+    ((answer, tree),) = solve(
+        Term("p", (V("G"),)), kb, parse_facts("s(a).\n")
+    )
+    assert answer.bindings == {"G": "a"}
+    assert [format_term(n.literal.term) for _, n in tree.nodes()] == [
+        "p(a)", "s(a)", "t(a, _2_Z)",
+    ]
+
+
 def test_depth_limit_goal_names_the_renamed_variable():
     kb = parse_rules(RULES_HEADER + "p(X, Y) :- p(Y, X).\n")
     with pytest.raises(DepthLimitError) as err:
