@@ -3,9 +3,10 @@
 The solver is deterministic: facts are tried in canonical order, clauses in
 textual order, body literals left to right. Each goal looks up only the
 facts and clauses that can match it (by predicate, and facts also by a
-constant first argument), which leaves that order unchanged. Only the body
-of a clause whose head matched the goal is built, renamed apart as
-``_<n>_<Name>``, where ``n`` counts the candidate clauses tried.
+constant first argument), which leaves that order unchanged. Nothing of a
+clause is built until its head matches the goal; then each body literal is
+built when the search enters it, renamed apart as ``_<n>_<Name>``, where
+``n`` counts the candidate clauses tried.
 ``ground_oracle`` computes the same semantics bottom-up (stratified least
 fixpoint) and exists purely as an independent cross-check on the
 resolution engine.
@@ -262,23 +263,21 @@ def _match_head(
     return values, {**bindings, **local} if local else bindings
 
 
-def _instantiate_body(
-    body: tuple[Literal, ...], values: dict, tag: int
-) -> tuple[Literal, ...]:
-    """The body with head-bound values in place of clause variables and a
-    fresh ``_<tag>_<Name>`` for each variable the head left unbound."""
-    literals = []
-    for literal in body:
-        args = []
-        for a in literal.term.args:
-            if isinstance(a, Variable):
-                if a.name not in values:
-                    values[a.name] = _trusted_variable(f"_{tag}_{a.name}")
-                a = values[a.name]
-            args.append(a)
-        term = _trusted_term(literal.term.functor, tuple(args))
-        literals.append(Literal(term, literal.negated))
-    return tuple(literals)
+def _instantiate(
+    term: Term, values: dict, tag: int, bindings: _Bindings
+) -> Term:
+    """A body term of the clause tagged tag, resolved through bindings. A
+    clause variable the head left unbound is the fresh ``_<tag>_<Name>``,
+    made and stored in values when the search first meets it."""
+    args = []
+    for a in term.args:
+        if isinstance(a, Variable):
+            value = values.get(a.name)
+            if value is None:
+                value = values[a.name] = _trusted_variable(f"_{tag}_{a.name}")
+            a = _walk(value, bindings)
+        args.append(a)
+    return _trusted_term(term.functor, tuple(args))
 
 
 class _Context:
@@ -289,9 +288,9 @@ class _Context:
 
 
 def _solve_term(
-    goal: Term, bindings: dict, ctx: _Context, depth: int
+    target: Term, bindings: dict, ctx: _Context, depth: int
 ) -> Iterator[tuple[dict, ProofTree]]:
-    target = _resolve_term(goal, bindings)
+    """Prove target, a goal already resolved through bindings."""
     for fact in ctx.facts.candidates(target):
         unified = _match_fact(target, fact, bindings)
         if unified is not None:
@@ -307,18 +306,17 @@ def _solve_term(
             raise DepthLimitError(
                 format_term(_resolve_term(target, unified)), DEPTH_LIMIT
             )
-        body = _instantiate_body(clause.body, values, tag)
-        for final, children in _solve_body(body, unified, ctx, depth + 1):
+        body = _solve_body(clause.body, values, tag, unified, ctx, depth + 1)
+        for final, children in body:
             yield final, ProofTree(
                 Literal(target), RULE, clause.article, children
             )
 
 
 def _solve_literal(
-    literal: Literal, bindings: dict, ctx: _Context, depth: int
+    subgoal: Term, bindings: dict, ctx: _Context, depth: int
 ) -> Iterator[tuple[dict, ProofTree]]:
-    """Negation as failure on a negated body literal."""
-    subgoal = _resolve_term(literal.term, bindings)
+    """Negation as failure on the resolved subgoal of a negated literal."""
     if not subgoal.is_ground:
         raise NafNonGroundError(Literal(subgoal, negated=True))
     for _ in _solve_term(subgoal, {}, ctx, depth):
@@ -327,15 +325,22 @@ def _solve_literal(
 
 
 def _solve_body(
-    body: tuple[Literal, ...], bindings: dict, ctx: _Context, depth: int
+    body: tuple[Literal, ...],
+    values: dict,
+    tag: int,
+    bindings: dict,
+    ctx: _Context,
+    depth: int,
 ) -> Iterator[tuple[dict, tuple[ProofTree, ...]]]:
-    """Prove body literals left to right with one open iterator per literal
-    entered, so a body of any length fits in a bounded Python stack."""
+    """Prove the body of the clause tagged tag left to right with one open
+    iterator per literal entered, so a body of any length fits in a bounded
+    Python stack. Each literal is built as it is entered."""
 
     def enter(literal: Literal, bindings: dict) -> Iterator:
+        goal = _instantiate(literal.term, values, tag, bindings)
         if literal.negated:
-            return _solve_literal(literal, bindings, ctx, depth)
-        return _solve_term(literal.term, bindings, ctx, depth)
+            return _solve_literal(goal, bindings, ctx, depth)
+        return _solve_term(goal, bindings, ctx, depth)
 
     if not body:
         yield bindings, ()
@@ -365,10 +370,11 @@ def solve(
     DepthLimitError past ``DEPTH_LIMIT`` rule applications.
     """
     ctx = _Context(kb, facts)
+    names = sorted(goal.variables())
     results: list[tuple[Substitution, ProofTree]] = []
     for bindings, tree in _solve_term(goal, {}, ctx, 0):
         answer: dict[str, str] = {}
-        for name in sorted(goal.variables()):
+        for name in names:
             value = _walk(bindings.get(name), bindings)  # None when unbound
             if isinstance(value, str):
                 answer[name] = value
@@ -386,18 +392,11 @@ def _first_proofs(
     return tuple(first.values())
 
 
-def _attachments(
-    functor: str,
-    article: str,
-    person: str,
-    kb: KnowledgeBase,
-    facts: CaseFacts,
-) -> tuple[ProofTree, ...]:
-    goal = Term(
-        functor,
-        (Variable("A"), article, person, Variable("K"), Variable("V")),
-    )
-    return _first_proofs(goal, kb, facts)
+# derive_rights builds its goals from these variables and from atoms already
+# checked: the person by is_identifier, the article in a checked proof tree.
+_RIGHT, _TAG, _ARTICLE, _OPTION, _A, _K, _V = map(
+    Variable, ("Right", "Tag", "Article", "Option", "A", "K", "V")
+)
 
 
 def derive_rights(
@@ -411,15 +410,8 @@ def derive_rights(
     if source is None:
         raise UnknownSourceError(source_id)
     scoped = kb.restricted_to(source_id)
-    goal = Term(
-        "has_right",
-        (
-            Variable("Right"),
-            Variable("Tag"),
-            Variable("Article"),
-            person,
-            Variable("Option"),
-        ),
+    goal = _trusted_term(
+        "has_right", (_RIGHT, _TAG, _ARTICLE, person, _OPTION)
     )
     bundles: list[RightsBundle] = []
     for tree in _first_proofs(goal, scoped, facts):
@@ -428,15 +420,16 @@ def derive_rights(
             raise EngineError(
                 f"non-ground primary conclusion: {tree.literal.term}"
             )
+        attached = (_A, article, person, _K, _V)
         bundles.append(
             RightsBundle(
                 source=source,
                 primary=tree,
-                auxiliaries=_attachments(
-                    "auxiliary_right", article, person, scoped, facts
+                auxiliaries=_first_proofs(
+                    _trusted_term("auxiliary_right", attached), scoped, facts
                 ),
-                properties=_attachments(
-                    "right_property", article, person, scoped, facts
+                properties=_first_proofs(
+                    _trusted_term("right_property", attached), scoped, facts
                 ),
             )
         )
