@@ -89,6 +89,8 @@ def _resolve(args: argparse.Namespace) -> None:
             _checked(data, types, "config file")
         except ValueError as exc:
             raise UsageError(str(exc))
+        # a number setting is a float, as argparse type=float reads the flag
+        data.update((k, float(data[k])) for k, t in types.items() if float in t)
     defaults = {"kb": [], "sources": [], "repetitions": 1, "out": "out"}
     for key in _SETTINGS:
         if getattr(args, key, None) is None:

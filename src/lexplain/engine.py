@@ -209,9 +209,7 @@ def _resolve_term(term: Term, bindings: _Bindings) -> Term:
 def _resolve_tree(tree: ProofTree, bindings: _Bindings) -> ProofTree:
     if tree.kind != RULE:
         return tree  # FACT and NAF leaves are ground when they are built
-    literal = Literal(
-        _resolve_term(tree.literal.term, bindings), tree.literal.negated
-    )
+    literal = Literal(_resolve_term(tree.literal.term, bindings))  # never negated
     children = tuple(_resolve_tree(c, bindings) for c in tree.children)
     return ProofTree(literal, tree.kind, tree.article, children)
 
@@ -263,9 +261,7 @@ def _match_head(
     return values, {**bindings, **local} if local else bindings
 
 
-def _instantiate(
-    term: Term, values: dict, tag: int, bindings: _Bindings
-) -> Term:
+def _instantiate(term: Term, values: dict, tag: int, bindings: dict) -> Term:
     """A body term of the clause tagged tag, resolved through bindings. A
     clause variable the head left unbound is the fresh ``_<tag>_<Name>``,
     made and stored in values when the search first meets it."""

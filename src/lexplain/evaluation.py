@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from statistics import fmean
-from typing import Iterator
+from math import fsum
+from typing import Iterable, Iterator
 
 from .chain import _checked
 from .trace import TraceDocument, parse_term_cached
@@ -193,7 +193,11 @@ def check_completeness(
     reads, yields its canonical text. Inner conclusion restatements count
     as cited when their wrapping conclusion is cited.
     """
-    scanned = set(scan_output_terms(output))
+    return _completeness(_scan_spans(output), trace)
+
+
+def _completeness(spans: Iterable, trace: TraceDocument) -> CompletenessResult:
+    scanned = {term for _, _, term in spans}
     required, restated = trace.terms, trace.restatements
     cited_terms: list[str] = []
     missing: list[str] = []
@@ -224,10 +228,14 @@ def check_groundedness(
     flagged is skipped, so the report grows with the output, not with the
     square of its nesting depth.
     """
+    return _groundedness(_scan_spans(output), trace)
+
+
+def _groundedness(spans: Iterable, trace: TraceDocument) -> GroundednessResult:
     known = trace.known_terms
     hallucinated: dict[str, None] = {}
     flagged_end = 0
-    for start, end, candidate in _scan_spans(output):
+    for start, end, candidate in spans:
         if start >= flagged_end and candidate not in known:
             hallucinated[candidate] = None
             flagged_end = end
@@ -244,10 +252,11 @@ def evaluate(
     run_index: int = 0,
 ) -> EvaluationReport:
     """Run all three checks over one output/trace pair."""
+    spans = list(_scan_spans(output))
     return EvaluationReport(
         form=check_form(output, expected_sections),
-        completeness=check_completeness(output, trace),
-        groundedness=check_groundedness(output, trace),
+        completeness=_completeness(spans, trace),
+        groundedness=_groundedness(spans, trace),
         run_index=run_index,
     )
 
@@ -269,7 +278,7 @@ def stability(reports: list[EvaluationReport]) -> StabilityResult:
         runs=len(reports),
         form_pass_rate=sum(r.form.passed for r in reports) / len(reports),
         coverage_min=min(coverages),
-        coverage_mean=fmean(coverages),
+        coverage_mean=fsum(coverages) / len(coverages),
         coverage_max=max(coverages),
         hallucinated_runs=sum(
             1 for r in reports if r.groundedness.hallucinated_terms

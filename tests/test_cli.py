@@ -548,6 +548,7 @@ COMPARE_SETTINGS = {**SOLVE_SETTINGS, "sources": SOURCES, "mock_dir": "../mock"}
         ("compare", "mock_dir", "../mock", "../nope"),
         ("compare", "model", "model-a", "model-b"),
         ("compare", "temperature", 0.5, 0.25),
+        ("compare", "temperature", 1, 0.5),
         ("compare", "repetitions", 1, 2),
     ],
 )
@@ -585,6 +586,17 @@ def test_config_file_fills_each_absent_flag_and_a_given_flag_wins(
     assert with_flag != with_other_flag
     assert outcome({}, {key: value}) == with_flag
     assert outcome({key: other}, {key: value}) == with_other_flag
+
+
+def test_config_file_timeout_is_written_as_a_float(workdir):
+    (workdir / "c.json").write_text(json.dumps({"timeout": 30}), encoding="utf-8")
+    out = workdir / "out"
+    argv = ["compare", *_common(workdir, "eu.rules", "pl.rules"),
+            "--source", SOURCES[0], "--source", SOURCES[1],
+            "--mock-dir", str(workdir / "mock"),
+            "--config", str(workdir / "c.json"), "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert '"timeout": 30.0' in (out / "run_000.json").read_text(encoding="utf-8")
 
 
 def test_config_file_names_its_first_unknown_key(workdir, capsys):
@@ -765,13 +777,15 @@ def test_compare_reads_each_trace_terms_once(workdir, monkeypatch):
 
 
 def test_offline_runs_never_import_requests(workdir):
-    # only building the HTTP client imports requests
+    # only building the HTTP client imports requests; nothing imports the
+    # statistics module, which pulls fractions and decimal in with it
     argv = ["compare", *_common(workdir, "eu.rules", "pl.rules"),
             "--source", "directive_2010_64", "--source", "directive_2010_64_pl",
             "--mock-dir", str(workdir / "mock"), "--out", str(workdir / "out")]
     script = (
         "import sys\n"
         "import lexplain, lexplain.cli\n"
+        "assert 'statistics' not in sys.modules\n"
         "print('requests' in sys.modules)\n"
         f"print(lexplain.cli.main({argv!r}))\n"
         "print('requests' in sys.modules)\n"
