@@ -81,7 +81,12 @@ def _resolve(args: argparse.Namespace) -> None:
     defaults, and gather the LLM settings into args.llm."""
     data = {}
     if args.config is not None:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            # nested too deeply to parse: as any other file that is not JSON
+            raise json.JSONDecodeError("config file nests too deeply", text, 0)
         if not isinstance(data, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
         types = {key: t for key, t in _SETTINGS.items() if key in data}

@@ -17,7 +17,8 @@ from math import fsum
 from typing import Iterable, Iterator
 
 from .chain import _checked
-from .trace import TraceDocument, parse_term_cached
+from .kb import ATOM
+from .trace import _S, _TERM_RE, TraceDocument, _canonical_spacing
 
 TRANSLATION_SECTIONS = (
     "Summary",
@@ -32,6 +33,14 @@ COMPARISON_SECTIONS = (
 
 _ENUM_RE = re.compile(r"^(?:[-*]+|\(?\d+[.)]|\(?[a-z][.)])\s+")
 _WORD_RE = re.compile(r"\w*")
+# A run of term tokens from an "atom(": each "(" or "," is followed by an
+# atom, and each atom or ")" by "," or ")". A term is valid when the run
+# from its start reaches the ")" that closes its "(".
+_RUN_RE = re.compile(
+    rf"{ATOM}\((?:{_S}{ATOM}(?:\(|{_S}(?:\){_S})*,))*"
+    rf"(?:{_S}{ATOM}{_S}(?:\){_S})*)?"
+)
+_PAREN_RE = re.compile(r"[()]")
 
 
 @dataclass(frozen=True)
@@ -154,31 +163,48 @@ def check_form(output: str, expected_sections: tuple[str, ...]) -> FormResult:
 
 
 def _scan_spans(text: str) -> Iterator[tuple[int, int, str]]:
-    """(start, end, canonical text) of every term-shaped substring, in
-    order of start; a nested term comes after the term around it."""
-    memo: dict[int, tuple[str, int] | None] = {}
+    """(start, end, canonical text) of term-shaped substrings, in order of
+    start: every flat term, bare or negated, and every other term that no
+    term encloses. A nested term is never a trace term, so the nested
+    terms inside one are skipped; the flat terms inside are not."""
     # A term can only start where the whole word before a "(" starts. The
     # word is matched in the reversed text, so each "(" costs one match
     # instead of one regex attempt per letter of the output. A "(" with no
     # word before it starts no term.
     backwards = text[::-1]
+    closing: dict[int, int] | None = None  # each "(" to its ")", if needed
+    run_end = enclosed_end = 0
     pos = text.find("(")
     while pos != -1:
         start = pos - len(_WORD_RE.match(backwards, len(text) - pos).group())
-        parsed = parse_term_cached(text, start, memo) if start < pos else None
-        if parsed is not None:
-            yield start, parsed[1], parsed[0]
+        flat = _TERM_RE.match(text, start) if start < pos else None
+        if flat:
+            yield start, flat.end(), _canonical_spacing(flat.group())
+        elif enclosed_end <= start < pos:
+            if start >= run_end:
+                run = _RUN_RE.match(text, start)
+                run_end = run.end() if run else pos
+            # inside a run, this "(" opens a term whose tokens are valid up
+            # to run_end; the term is valid if it closes before that
+            if pos < run_end:
+                if closing is None:
+                    closing = _closing_parens(text)
+                end = closing.get(pos, run_end) + 1
+                if end <= run_end:
+                    enclosed_end = end
+                    yield start, end, _canonical_spacing(text[start:end])
         pos = text.find("(", pos + 1)
 
 
-def scan_output_terms(text: str) -> list[str]:
-    """All term-shaped substrings, canonicalized, in order.
-
-    Nested occurrences are reported too (``not(q(a))`` yields both the
-    wrapper and ``q(a)``): each is looked up independently, and appending
-    text to the output can then only ever grow the candidate list.
-    """
-    return [term for _, _, term in _scan_spans(text)]
+def _closing_parens(text: str) -> dict[int, int]:
+    """The position of the ")" that closes each closed "(" of text."""
+    closing, opened = {}, []
+    for paren in _PAREN_RE.finditer(text):
+        if paren.group() == "(":
+            opened.append(paren.start())
+        elif opened:
+            closing[opened.pop()] = paren.start()
+    return closing
 
 
 # --- completeness --------------------------------------------------------------

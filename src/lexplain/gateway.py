@@ -182,20 +182,25 @@ class HttpCompletionClient:
         try:
             body = response.json()
             text = body["choices"][0]["message"]["content"]
+            model_id = body.get("model", config.model_id)
             usage = body.get("usage") or {}
-            prompt_tokens = int(usage.get("prompt_tokens", 0))
-            completion_tokens = int(usage.get("completion_tokens", 0))
-        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            tokens = [usage.get(k, 0) for k in ("prompt_tokens", "completion_tokens")]
+        except (
+            ValueError, LookupError, TypeError, AttributeError, RecursionError
+        ) as exc:
             raise BackendError(f"malformed backend response: {exc}") from exc
+        if type(text) is not str or type(model_id) is not str:
+            raise BackendError(
+                "malformed backend response: content and model must be strings"
+            )
+        if any(type(count) is not int or count < 0 for count in tokens):
+            raise BackendError(
+                "malformed backend response: token counts must be "
+                "non-negative integers"
+            )
         if not text:
             raise BackendError("backend returned an empty completion")
-        return LlmResponse(
-            text=text,
-            model_id=body.get("model", config.model_id),
-            latency=latency,
-            prompt_tokens=prompt_tokens,
-            completion_tokens=completion_tokens,
-        )
+        return LlmResponse(text, model_id, latency, *tokens)
 
 
 class MockCompletionClient:

@@ -4,7 +4,9 @@ A trace document is the textual wire format between the reasoner and the
 LLM pipeline: a header block for the primary right, its proof tree at
 4-space indentation with ``[FACT]`` markers and ``not(...)`` leaves, then
 ``Auxiliaries:`` and ``Properties:`` sections (omitted entirely when
-empty). ``render`` and ``parse`` invert each other byte for byte.
+empty). ``render`` and ``parse`` invert each other byte for byte. Terms
+are function-free, as in the rule DSL: a functor over atoms, bare or
+negated; a line holding a nested term does not parse.
 """
 
 from __future__ import annotations
@@ -24,14 +26,15 @@ INTERMEDIATE = "INTERMEDIATE"
 FACT_LEAF = "FACT_LEAF"
 NAF_LEAF = "NAF_LEAF"
 
-_ATOM_RE = re.compile(ATOM)
 _SPACE = " \t\n\r"
-# Flat terms, a functor over atoms, are nearly all terms read: canonical
-# text, bare or negated, and cited text with _SPACE between its tokens.
+# The term grammar is function-free: a term is flat, a functor over atoms,
+# bare or negated. Canonical text has ", " after each comma; cited text
+# may have _SPACE between its tokens.
 _FLAT = rf"{ATOM}(?:\({ATOM}(?:, {ATOM})*\))?"
 _CANONICAL_FLAT_RE = re.compile(rf"{_FLAT}|not\({_FLAT}\)")
 _S = f"[{_SPACE}]*"
-_FLAT_TERM_RE = re.compile(rf"{ATOM}\({_S}{ATOM}{_S}(?:,{_S}{ATOM}{_S})*\)")
+_SPACED_FLAT = rf"{ATOM}\({_S}{ATOM}{_S}(?:,{_S}{ATOM}{_S})*\)"
+_TERM_RE = re.compile(rf"{_SPACED_FLAT}|not\({_S}{_SPACED_FLAT}{_S}\)")
 _CANONICAL_SPACING = str.maketrans({**dict.fromkeys(_SPACE), ",": ", "})
 _KEYWORDS = ("Auxiliaries:", "Properties:")
 
@@ -189,102 +192,34 @@ class TraceDocument:
 
 
 def _term_parts(text: str) -> tuple[str, int]:
-    """Functor and arity of canonical term text."""
+    """Functor and arity of flat canonical term text. Of a negated term
+    only the functor, ``not``, is right; no root with children is negated,
+    so a negated term never restates one."""
     functor, _, args = text.partition("(")
-    depth, arity = 0, int(bool(args))
-    for ch in args[:-1]:
-        if ch in "()":
-            depth += 1 if ch == "(" else -1
-        elif ch == "," and depth == 0:
-            arity += 1
-    return functor, arity
+    return functor, args.count(",") + 1 if args else 0
 
 
 # --- canonical term text ----------------------------------------------------
 
 
-def parse_term_at(text: str, pos: int) -> tuple[str, int] | None:
-    """Parse a ground term (possibly ``not(...)``-wrapped) starting at pos.
-
-    Returns (canonical text, end position) or None. The functor must be
-    immediately followed by ``(``; whitespace is tolerated around commas
-    and canonicalized away. Atoms only: this is the ground trace fragment.
-    An argument is a nested term exactly when its atom is followed by
-    ``(``. Nesting depth is bounded only by memory.
-    """
-    return parse_term_cached(text, pos, {})
-
-
-def parse_term_cached(
-    text: str, pos: int, memo: dict[int, tuple[str, int] | None]
-) -> tuple[str, int] | None:
-    """``parse_term_at`` that shares results through memo.
-
-    memo maps a start position to its parse result. This call looks pos
-    up first, then records every term it opens: the result of each one
-    it closes, and None for those still open when it fails. Parsing from
-    a position does not depend on the text before it, so a scan over all
-    start positions parses each term once. A flat term, a functor over
-    atoms, takes one regex match instead of the stack.
-    """
-    if pos in memo:
-        return memo[pos]
-    flat = _FLAT_TERM_RE.match(text, pos)
-    if flat:
-        term = flat.group()
-        if not _CANONICAL_FLAT_RE.fullmatch(term):
-            term = term.translate(_CANONICAL_SPACING)
-        memo[pos] = (term, flat.end())
-        return memo[pos]
-    match = _ATOM_RE.match(text, pos)
-    if not match:
-        return None
-    cursor = match.end()
-    if cursor >= len(text) or text[cursor] != "(":
-        return None
-    cursor += 1
-    # One (start, functor, arguments so far) frame per open term.
-    stack: list[tuple[int, str, list[str]]] = [(pos, match.group(0), [])]
-    while True:
-        while cursor < len(text) and text[cursor] in _SPACE:
-            cursor += 1
-        match = _ATOM_RE.match(text, cursor)
-        if not match:
-            break
-        cursor = match.end()
-        if cursor < len(text) and text[cursor] == "(":
-            stack.append((match.start(), match.group(0), []))
-            cursor += 1
-            continue
-        arg = match.group(0)
-        while True:
-            stack[-1][2].append(arg)
-            while cursor < len(text) and text[cursor] in _SPACE:
-                cursor += 1
-            delimiter = text[cursor : cursor + 1]
-            cursor += 1
-            if delimiter != ")":
-                break
-            start, functor, args = stack.pop()
-            arg = f"{functor}({', '.join(args)})"
-            memo[start] = (arg, cursor)
-            if not stack:
-                return memo[start]
-        if delimiter != ",":
-            break
-    for start, _, _ in stack:
-        memo[start] = None
-    return None
+def _canonical_spacing(text: str) -> str:
+    """Term text with _SPACE between its tokens, in canonical spacing."""
+    if _CANONICAL_FLAT_RE.fullmatch(text):
+        return text
+    return text.translate(_CANONICAL_SPACING)
 
 
 def canonical_term_text(text: str) -> str:
-    """Canonicalize a full term string, or raise TraceError."""
+    """Canonicalize a flat term, bare or negated, or raise TraceError.
+
+    Canonical text is returned as it is; otherwise _SPACE may stand
+    between the tokens of a functor over atoms. A nested term is malformed.
+    """
     if _CANONICAL_FLAT_RE.fullmatch(text):
         return text
-    parsed = parse_term_at(text, 0)
-    if parsed is None or parsed[1] != len(text):
-        raise TraceError(f"malformed term: {text!r}")
-    return parsed[0]
+    if _TERM_RE.fullmatch(text):
+        return text.translate(_CANONICAL_SPACING)
+    raise TraceError(f"malformed term: {text!r}")
 
 
 # --- rendering ---------------------------------------------------------------

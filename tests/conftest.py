@@ -277,8 +277,15 @@ def random_bundle(rng: random.Random) -> TraceBundle:
 
 # --- reference term parser ------------------------------------------------------
 
-_REFERENCE_ATOM_RE = re.compile(r"[a-z][A-Za-z0-9_]*")
+_REFERENCE_ATOM = r"[a-z][A-Za-z0-9_]*"
+_REFERENCE_ATOM_RE = re.compile(_REFERENCE_ATOM)
 _REFERENCE_SPACE = " \t\n\r"
+_REFERENCE_FLAT = (
+    rf"{_REFERENCE_ATOM}(?:\({_REFERENCE_ATOM}(?:, {_REFERENCE_ATOM})*\))?"
+)
+# Canonical text of a flat term, bare or negated: the function-free fragment
+# of what the reference parser reads.
+REFERENCE_FLAT_RE = re.compile(rf"{_REFERENCE_FLAT}|not\({_REFERENCE_FLAT}\)")
 
 
 def reference_parse_term_cached(text, pos, memo):
@@ -355,3 +362,20 @@ def near_flat_terms(draw):
     if draw(st.integers(0, 3)) == 0:
         text = f"not({text})"
     return text
+
+
+@st.composite
+def nested_text(draw, max_depth):
+    """Text around a term nested up to max_depth deep, often unbalanced."""
+    depth = draw(st.integers(0, max_depth))
+    opener = draw(st.sampled_from(["f(", "not(", "g_1( ", "f(a, ", "F("]))
+    core = draw(st.sampled_from(["a", "", "X", "b , c", "h(a)"]))
+    closer = draw(st.sampled_from([")", " )", ", b)", ",", "]"]))
+    closes = max(0, depth + draw(st.integers(-2, 2)))
+    return (
+        draw(st.text(max_size=4))
+        + opener * depth
+        + core
+        + closer * closes
+        + draw(st.text(max_size=4))
+    )

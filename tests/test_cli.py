@@ -490,9 +490,9 @@ def test_evaluate_deeply_nested_output(workdir, capsys):
 
 
 def test_evaluate_deeply_nested_trace(workdir, capsys):
-    assert _evaluate(workdir, "no terms", DEEP_TRACE) == EXIT_OK
-    report = json.loads(capsys.readouterr().out)
-    assert report["completeness"]["missing"] == [DEEP]
+    # trace terms are function-free, so a nested term is malformed
+    assert _evaluate(workdir, "no terms", DEEP_TRACE) == EXIT_DATA
+    assert "error: line 8: malformed term: 'f(f(" in capsys.readouterr().err
 
 
 def test_evaluate_unclosed_deeply_nested_trace_is_status_2(workdir, capsys):
@@ -620,6 +620,20 @@ def test_config_file_names_a_mistyped_field_and_its_type(workdir, capsys):
     assert main(argv) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "config file field 'temperature' is of type str" in err
+
+
+@pytest.mark.parametrize(
+    "text", ["{not json", "[" * 200_000], ids=["not_json", "nested_too_deeply"]
+)
+def test_config_file_that_does_not_parse_is_status_2(workdir, capsys, text):
+    (workdir / "c.json").write_text(text, encoding="utf-8")
+    argv = ["compare", *_common(workdir, "eu.rules", "pl.rules"),
+            "--source", SOURCES[0], "--source", SOURCES[1],
+            "--mock-dir", str(fixtures.mock_chain_dir()),
+            "--config", str(workdir / "c.json"), "--out", str(workdir / "out")]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (workdir / "out").exists()
 
 
 def test_mock_dir_and_base_url_mutually_exclusive(workdir, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -25,12 +26,16 @@ from lexplain.evaluation import (
     evaluate,
     report_from_json,
     report_to_json,
-    scan_output_terms,
     stability,
 )
-from lexplain.trace import parse_term_at, parse_term_cached, parse_trace
+from lexplain.trace import parse_trace
 
-from conftest import near_flat_terms, reference_parse_term_cached
+from conftest import (
+    REFERENCE_FLAT_RE,
+    near_flat_terms,
+    nested_text,
+    reference_parse_term_cached,
+)
 
 MISSED_INFERENCE = "essential_document(art3_2, mario, documents)"
 
@@ -252,7 +257,7 @@ def test_functor_apart_from_its_parenthesis_is_not_cited(listing2_doc):
     output = "person_document (mario, charge) and fake (a)"
     completeness = check_completeness(output, listing2_doc)
     assert "person_document(mario, charge)" in completeness.missing_terms
-    assert scan_output_terms(output) == []
+    assert _scanned(output) == []
 
 
 def test_coverage_bounds(listing1_doc):
@@ -302,9 +307,13 @@ def test_deep_nesting_is_one_hallucinated_term(listing1_doc):
     assert len(json.dumps(report_to_json(report), indent=2)) < 20_000
 
 
+def _scanned(text):
+    return [term for _, _, term in _scan_spans(text)]
+
+
 def test_scan_reports_wrappers_and_their_bodies():
     text = "see not(person_understands(mario, polish)) and q(a, b)."
-    assert scan_output_terms(text) == [
+    assert _scanned(text) == [
         "not(person_understands(mario, polish))",
         "person_understands(mario, polish)",
         "q(a, b)",
@@ -312,23 +321,38 @@ def test_scan_reports_wrappers_and_their_bodies():
 
 
 def test_scan_reports_terms_inside_a_malformed_wrapper():
-    assert scan_output_terms("f(g(a), h(b") == ["g(a)"]
-    assert scan_output_terms("f(g(a) x) and f(g(a))") == [
+    assert _scanned("f(g(a), h(b") == ["g(a)"]
+    assert _scanned("f(g(a) x) and f(g(a))") == [
         "g(a)",
         "f(g(a))",
         "g(a)",
     ]
 
 
+def test_scan_skips_nested_terms_inside_a_nested_term():
+    text = "f(g(h(a)), not(b(c)), k(l(m))) and g(h(a))"
+    assert _scanned(text) == [
+        "f(g(h(a)), not(b(c)), k(l(m)))",
+        "h(a)",
+        "not(b(c))",
+        "b(c)",
+        "l(m)",
+        "g(h(a))",
+        "h(a)",
+    ]
+
+
 def test_scan_handles_deep_nesting():
     depth = 3000
     deep = "f(" * depth + "a" + ")" * depth
-    found = scan_output_terms(deep)
-    assert len(found) == depth
-    assert found[0] == deep
-    assert found[-1] == "f(a)"
-    assert scan_output_terms(deep[:-1])[0] == deep[2:-1]
-    assert scan_output_terms("f(" * depth + "a") == []
+    # one span for the whole nest, and the flat term at its core
+    assert list(_scan_spans(deep)) == [
+        (0, len(deep), deep),
+        (2 * depth - 2, 2 * depth + 2, "f(a)"),
+    ]
+    assert _scanned(deep[:-1]) == [deep[2:-1], "f(a)"]
+    assert _scanned("f( " * depth + "a" + " )" * depth) == [deep, "f(a)"]
+    assert _scanned("f(" * depth + "a") == []
 
 
 def _reference_scan(text):
@@ -339,10 +363,21 @@ def _reference_scan(text):
         start = match.start()
         if start > 0 and (text[start - 1].isalnum() or text[start - 1] == "_"):
             continue
-        parsed = parse_term_cached(text, start, memo)
+        parsed = reference_parse_term_cached(text, start, memo)
         if parsed is not None:
-            found.append(parsed[0])
+            found.append((start, parsed[1], parsed[0]))
     return found
+
+
+def _function_free(spans):
+    """The spans kept from the stack parser's: every flat term, bare or
+    negated, and every other term that no term encloses."""
+    return [
+        (start, end, term)
+        for start, end, term in spans
+        if REFERENCE_FLAT_RE.fullmatch(term)
+        or not any(outer < start < outer_end for outer, outer_end, _ in spans)
+    ]
 
 
 _TERM_TEXT = st.lists(
@@ -357,12 +392,12 @@ _TERM_TEXT = st.lists(
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(st.text(), _TERM_TEXT))
 def test_scan_equals_regex_reference(text):
-    assert scan_output_terms(text) == _reference_scan(text)
+    assert list(_scan_spans(text)) == _function_free(_reference_scan(text))
 
 
 def test_scan_ignores_english_parentheticals():
     text = "the terminology (essential vs. necessary) might differ(!)"
-    assert scan_output_terms(text) == []
+    assert _scanned(text) == []
 
 
 # --- evaluate / stability ------------------------------------------------------
@@ -534,7 +569,7 @@ def test_appending_text_is_monotone(listing2_doc, suffix):
     assert before_hall <= after_hall
 
 
-# --- the flat fast path against the stack parser ----------------------------------
+# --- the function-free scan against the stack parser ------------------------------
 
 
 _REFERENCE_WORD_RE = re.compile(r"\w*")
@@ -564,7 +599,56 @@ def _reference_groundedness(text, trace):
     return GroundednessResult(hallucinated_terms=tuple(hallucinated))
 
 
+def _reference_restatements(trace):
+    """TraceDocument.restatements as it counted arity past nested terms."""
+
+    def parts(text):
+        functor, _, args = text.partition("(")
+        depth, arity = 0, int(bool(args))
+        for ch in args[:-1]:
+            if ch in "()":
+                depth += 1 if ch == "(" else -1
+            elif ch == "," and depth == 0:
+                arity += 1
+        return functor, arity
+
+    bundle, mapping = trace.bundle, {}
+    trees = [bundle.explanation]
+    trees += [s.tree for s in bundle.auxiliaries + bundle.properties]
+    for root, *nodes in trees:
+        functor, arity = parts(root.term)
+        for child in nodes:
+            if child.depth == 1 and parts(child.term) == (functor, arity - 1):
+                mapping[child.term] = root.term
+    return mapping
+
+
+def _reference_report(text, trace):
+    """report_to_json of evaluate as it read every term with the stack
+    parser."""
+    scanned = {term for _, _, term in _reference_spans(text)}
+    restated = _reference_restatements(trace)
+    required = trace.terms
+    cited = tuple(
+        t for t in required if t in scanned or restated.get(t) in scanned
+    )
+    completeness = CompletenessResult(
+        required_terms=required,
+        cited_terms=cited,
+        missing_terms=tuple(t for t in required if t not in cited),
+        coverage=len(cited) / len(required) if required else 1.0,
+    )
+    return report_to_json(
+        EvaluationReport(
+            form=check_form(text, TRANSLATION_SECTIONS),
+            completeness=completeness,
+            groundedness=_reference_groundedness(text, trace),
+        )
+    )
+
+
 _LISTING1 = parse_trace(fixtures.listing1_trace())
+_LISTING2 = parse_trace(fixtures.listing2_trace())
 _CITED_TEXT = st.lists(
     st.one_of(
         near_flat_terms(),
@@ -581,7 +665,7 @@ _CITED_TEXT = st.lists(
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(_CITED_TEXT, st.text()))
 def test_completeness_cites_exactly_the_scanned_terms(text):
-    scanned = set(scan_output_terms(text))
+    scanned = set(_scanned(text))
     restated = _LISTING1.restatements
     expected = tuple(
         term
@@ -596,13 +680,68 @@ def test_completeness_cites_exactly_the_scanned_terms(text):
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(_CITED_TEXT, st.text()))
 def test_scan_and_groundedness_match_the_stack_parser(text):
-    spans = _reference_spans(text)
-    assert list(_scan_spans(text)) == spans
-    assert scan_output_terms(text) == [term for _, _, term in spans]
+    assert list(_scan_spans(text)) == _function_free(_reference_spans(text))
     assert check_groundedness(text, _LISTING1) == _reference_groundedness(
         text, _LISTING1
     )
-    for pos in range(len(text)):
-        assert parse_term_at(text, pos) == reference_parse_term_cached(
-            text, pos, {}
-        )
+
+
+# Golden terms inside wrappers: a term, a term among others, a negation,
+# blanks between tokens, and broken ones (a stray word, no ")", one ")"
+# too many). The scan first differs from the stack parser's at depth 3.
+_WRAPPERS = ("f({})", "g(a, {}, b)", "not({})", "w( {} ,z )", "h({} x)", "f({}", "{})")
+
+
+@st.composite
+def _wrapped_golden_terms(draw):
+    term = draw(st.sampled_from(_LISTING1.terms + _LISTING2.terms))
+    for _ in range(draw(st.integers(3, 6))):
+        term = draw(st.sampled_from(_WRAPPERS)).format(term)
+    return term
+
+
+_WRAPPED_TEXT = st.lists(
+    st.one_of(_wrapped_golden_terms(), st.sampled_from([" ", ", ", "(", ")", "x("])),
+    min_size=1,
+    max_size=4,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_CITED_TEXT, st.text(), _WRAPPED_TEXT, nested_text(3000)),
+    st.sampled_from([_LISTING1, _LISTING2]),
+)
+def test_evaluate_matches_the_stack_parser_reference(text, trace):
+    assert report_to_json(evaluate(text, trace)) == _reference_report(text, trace)
+
+
+def test_shipped_outputs_match_the_stack_parser_reference():
+    outputs = [
+        fixtures.translation_output_eu(),
+        fixtures.translation_output_pl(),
+        fixtures.comparison_output(),
+    ]
+    mock_files = sorted(fixtures.mock_chain_dir().iterdir())
+    outputs += [path.read_text(encoding="utf-8") for path in mock_files]
+    assert len(outputs) == 6
+    for trace in (_LISTING1, _LISTING2):
+        assert trace.restatements == _reference_restatements(trace)
+        for output in outputs:
+            assert report_to_json(evaluate(output, trace)) == _reference_report(
+                output, trace
+            )
+
+
+@pytest.mark.parametrize("closer", [")", ""], ids=["nest", "unclosed"])
+def test_evaluate_memory_is_linear_in_nesting_depth(closer):
+    depth = 32_000
+    output = "f(" * depth + "a" + closer * depth
+    tracemalloc.start()
+    try:
+        report = evaluate(output, _LISTING1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20_000_000
+    assert report.groundedness.hallucinated_terms == ((output,) if closer else ())

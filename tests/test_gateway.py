@@ -132,6 +132,8 @@ class _FakeResponse:
     def json(self):
         if self._body is None:
             raise ValueError("no body")
+        if isinstance(self._body, str):
+            return json.loads(self._body)
         return self._body
 
 
@@ -235,6 +237,15 @@ def test_http_client_malformed_body(monkeypatch):
         {**_ok_body(), "usage": {"prompt_tokens": "abc"}},
         {**_ok_body(), "usage": "oops"},
         {**_ok_body(), "usage": [1]},
+        _ok_body(5),
+        _ok_body(["hello"]),
+        _ok_body(None),
+        {**_ok_body(), "model": 7},
+        {**_ok_body(), "model": None},
+        {**_ok_body(), "usage": {"prompt_tokens": 1.5}},
+        {**_ok_body(), "usage": {"completion_tokens": True}},
+        {**_ok_body(), "usage": {"prompt_tokens": -1}},
+        "[" * 100_000,
     ):
         session = _FakeSession([_FakeResponse(body=body)])
         client = HttpCompletionClient(session=session)

@@ -27,14 +27,15 @@ from lexplain.trace import (
     TraceSection,
     canonical_term_text,
     extract_terms,
-    parse_term_at,
     parse_trace,
     render_document,
     render_trace,
 )
 
 from conftest import (
+    REFERENCE_FLAT_RE,
     near_flat_terms,
+    nested_text,
     random_bundle,
     random_fact_set,
     reference_parse_term_cached,
@@ -342,25 +343,18 @@ DEEP = "f(" * DEPTH + "a" + ")" * DEPTH
 TRACE_HEAD = "s - a1\n\nArticle 1\nOption: opt\n\nExplanation:\n\n"
 
 
-def test_parse_term_at_handles_deep_nesting():
-    assert parse_term_at(DEEP, 0) == (DEEP, len(DEEP))
-    spaced = "f( " * DEPTH + "a" + " )" * DEPTH
-    assert parse_term_at(spaced, 0) == (DEEP, len(spaced))
-    assert parse_term_at(DEEP[:-1], 0) is None
-    assert parse_term_at(DEEP, 2) == (DEEP[2:-1], len(DEEP) - 1)
-
-
 def test_canonical_term_text_handles_deep_nesting():
-    assert canonical_term_text(DEEP) == DEEP
-    with pytest.raises(TraceError):
-        canonical_term_text(DEEP[:-1])
+    # trace terms are function-free: a nested term is malformed at any depth
+    for text in (DEEP, "f( " * DEPTH + "a" + " )" * DEPTH, DEEP[:-1], "f(g(a))"):
+        with pytest.raises(TraceError, match="malformed term"):
+            canonical_term_text(text)
 
 
 def test_parse_trace_handles_deep_nesting():
-    doc = parse_trace(TRACE_HEAD + DEEP + "\n")
-    assert doc.bundle.explanation[0].term == DEEP
-    with pytest.raises(TraceError):
-        parse_trace(TRACE_HEAD + DEEP[:-1] + "\n")
+    for term in (DEEP, DEEP[:-1], "not(f(g(a)))"):
+        with pytest.raises(TraceParseError, match="malformed term") as err:
+            parse_trace(TRACE_HEAD + term + "\n")
+        assert err.value.line == 8
 
 
 def test_deep_proof_tree_round_trips():
@@ -374,35 +368,7 @@ def test_deep_proof_tree_round_trips():
     assert hash(again.bundle) == hash(doc.bundle)
 
 
-@st.composite
-def nested_text(draw):
-    """Text around a term nested up to DEPTH deep, often unbalanced."""
-    depth = draw(st.integers(0, DEPTH))
-    opener = draw(st.sampled_from(["f(", "not(", "g_1( ", "f(a, ", "F("]))
-    core = draw(st.sampled_from(["a", "", "X", "b , c", "h(a)"]))
-    closer = draw(st.sampled_from([")", " )", ", b)", ",", "]"]))
-    closes = max(0, depth + draw(st.integers(-2, 2)))
-    return (
-        draw(st.text(max_size=4))
-        + opener * depth
-        + core
-        + closer * closes
-        + draw(st.text(max_size=4))
-    )
-
-
-ANY_TEXT = st.one_of(st.text(), nested_text())
-
-
-@settings(max_examples=150, deadline=None)
-@given(ANY_TEXT, st.data())
-def test_parse_term_at_returns_none_or_a_span_inside_the_text(text, data):
-    pos = data.draw(st.integers(0, len(text)))
-    parsed = parse_term_at(text, pos)
-    if parsed is not None:
-        canonical, end = parsed
-        assert pos < end <= len(text)
-        assert canonical_term_text(canonical) == canonical
+ANY_TEXT = st.one_of(st.text(), nested_text(DEPTH))
 
 
 @settings(max_examples=150, deadline=None)
@@ -592,6 +558,23 @@ def test_restatements_parse_only_roots_and_their_children(
         assert restated
 
 
+def test_restatements_count_every_argument():
+    explanation = (
+        TraceNode("r(a)", RULE, 0),
+        TraceNode("r", FACT, 1),
+        TraceNode("r(b)", FACT, 1),
+    )
+    section = TraceSection("a2", "cost", "state", "Article 2", (
+        TraceNode("q(a, b, c)", RULE, 0),
+        TraceNode("q(a, b)", FACT, 1),
+        TraceNode("q(a)", FACT, 1),
+        TraceNode("not(q(a, b))", NAF, 1),
+    ))
+    bundle = TraceBundle("s", "a1", "Article 1", "opt", explanation, (section,))
+    doc = trace_module.TraceDocument(render_document(bundle), bundle)
+    assert doc.restatements == {"r": "r(a)", "q(a, b)": "q(a, b, c)"}
+
+
 def _reference_canonical_term_text(text: str) -> str:
     """canonical_term_text as it read every term before the flat fast path."""
     if re.fullmatch(r"[a-z][A-Za-z0-9_]*", text):
@@ -625,6 +608,8 @@ _TERM_PIECES = st.sampled_from(
     )
 )
 def test_canonical_term_text_matches_the_stack_parser(text):
-    assert _canonical_outcome(canonical_term_text, text) == _canonical_outcome(
-        _reference_canonical_term_text, text
-    )
+    # the grammar is the stack parser's, less every nested term
+    expected = _canonical_outcome(_reference_canonical_term_text, text)
+    if isinstance(expected, str) and not REFERENCE_FLAT_RE.fullmatch(expected):
+        expected = (TraceError, f"malformed term: {text!r}")
+    assert _canonical_outcome(canonical_term_text, text) == expected
