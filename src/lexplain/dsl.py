@@ -182,67 +182,34 @@ def _parse_clause_tokens(
         raise DslError(
             f"expected ':-' or '.', found {tok.value!r}", tok.line, tok.col
         )
-    if not stream.exhausted:
-        extra = stream.peek()
-        raise DslError(
-            f"unexpected input after clause: {extra.value!r}",
-            extra.line,
-            extra.col,
-        )
     return Clause(head, tuple(body), source, article, title)
 
 
-class _MetadataState:
-    def __init__(self):
-        self.source_id: str | None = None
-        self.labels: dict[str, str] = {}
-        self.article: str | None = None
-        self.title: str | None = None
-
-    def apply(self, key: str, value: str, line_no: int) -> None:
-        if key == "source":
-            if not is_identifier(value):
-                raise DslError(f"invalid source id {value!r}", line_no)
-            self.source_id = value
-        elif key == "jurisdiction":
-            if self.source_id is None:
-                raise DslError(
-                    "%% jurisdiction must follow a %% source line", line_no
-                )
-            known = self.labels.get(self.source_id)
-            if known is not None and known != value:
-                raise DslError(
-                    f"conflicting jurisdiction for source {self.source_id}",
-                    line_no,
-                )
-            self.labels[self.source_id] = value
-        elif key == "article":
-            if not is_identifier(value):
-                raise DslError(f"invalid article id {value!r}", line_no)
-            self.article = value
-        elif key == "title":
-            if not value:
-                raise DslError("empty %% title", line_no)
-            self.title = value
-        else:
+def _apply_metadata(
+    meta: dict[str, str], labels: dict[str, str], key: str, value: str, line_no: int
+) -> None:
+    """Put one ``%% key: value`` line in force: a jurisdiction labels the
+    source in force, once; every other key replaces its value in meta."""
+    if key not in _METADATA_KEYS:
+        raise DslError(
+            f"unknown metadata key {key!r} "
+            f"(expected one of {', '.join(_METADATA_KEYS)})",
+            line_no,
+        )
+    if key == "jurisdiction":
+        source_id = meta.get("source")
+        if source_id is None:
+            raise DslError("%% jurisdiction must follow a %% source line", line_no)
+        if labels.setdefault(source_id, value) != value:
             raise DslError(
-                f"unknown metadata key {key!r} "
-                f"(expected one of {', '.join(_METADATA_KEYS)})",
-                line_no,
+                f"conflicting jurisdiction for source {source_id}", line_no
             )
-
-    def current_source(self, line_no: int) -> LegalSource:
-        if self.source_id is None:
-            raise DslError("clause before any %% source line", line_no)
-        return LegalSource(self.source_id, self.labels.get(self.source_id, ""))
-
-    def require(self, line_no: int) -> tuple[LegalSource, str, str]:
-        source = self.current_source(line_no)
-        if self.article is None:
-            raise DslError("clause before any %% article line", line_no)
-        if self.title is None:
-            raise DslError("clause before any %% title line", line_no)
-        return source, self.article, self.title
+        return
+    if key != "title" and not is_identifier(value):
+        raise DslError(f"invalid {key} id {value!r}", line_no)
+    if not value:
+        raise DslError("empty %% title", line_no)
+    meta[key] = value
 
 
 def parse_rules(text: str) -> KnowledgeBase:
@@ -251,7 +218,8 @@ def parse_rules(text: str) -> KnowledgeBase:
     Raises DslError for syntax problems (with line/column), SafetyError for
     unsafe negation, StratificationError for negation cycles.
     """
-    state = _MetadataState()
+    meta: dict[str, str] = {}  # the source, article and title in force
+    labels: dict[str, str] = {}  # the jurisdiction label of each source id
     pending: list[_Token] = []
     clauses: list[Clause] = []
 
@@ -264,8 +232,13 @@ def parse_rules(text: str) -> KnowledgeBase:
                 return
             tokens = pending[: dot + 1]
             del pending[: dot + 1]
-            meta = state.require(tokens[0].line)
-            clauses.append(_parse_clause_tokens(tokens, *meta))
+            for key in ("source", "article", "title"):
+                if key not in meta:
+                    raise DslError(f"clause before any %% {key} line", tokens[0].line)
+            source = LegalSource(meta["source"], labels.get(meta["source"], ""))
+            clauses.append(
+                _parse_clause_tokens(tokens, source, meta["article"], meta["title"])
+            )
 
     for line_no, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
@@ -277,7 +250,7 @@ def parse_rules(text: str) -> KnowledgeBase:
             match = _METADATA_RE.match(line)
             if not match:
                 raise DslError("malformed metadata line", line_no)
-            state.apply(match.group(1), match.group(2), line_no)
+            _apply_metadata(meta, labels, match.group(1), match.group(2), line_no)
             continue
         _tokenize_line(line, line_no, pending)
         drain()

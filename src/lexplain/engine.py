@@ -214,19 +214,6 @@ def _resolve_tree(tree: ProofTree, bindings: _Bindings) -> ProofTree:
     return ProofTree(literal, tree.kind, tree.article, children)
 
 
-def _match_fact(target: Term, fact: Term, bindings: dict) -> dict | None:
-    """bindings extended so that the resolved target equals the ground
-    fact of its predicate, or None. The dict is copied at most once."""
-    local: dict[str, _Value] = {}  # target variables are unbound in bindings
-    for a, b in zip(target.args, fact.args):
-        if isinstance(a, Variable):
-            if local.setdefault(a.name, b) != b:
-                return None
-        elif a != b:
-            return None
-    return {**bindings, **local} if local else bindings
-
-
 def _match_head(
     target: Term, head: Term, bindings: dict, tag: int
 ) -> tuple[dict, dict] | None:
@@ -236,7 +223,8 @@ def _match_head(
     A clause variable missing from values is still the fresh _<tag>_<Name>.
     A goal variable met against one is bound to it, as unifying with the
     renamed head would. Only goal and fresh variables get bound, and
-    neither is bound in bindings, so local holds every new binding.
+    neither is bound in bindings, so local holds every new binding. A
+    ground head, such as a fact, makes no fresh variable and ignores tag.
     """
     values: dict[str, _Value] = {}
     local: dict[str, _Value] = {}
@@ -288,9 +276,9 @@ def _solve_term(
 ) -> Iterator[tuple[dict, ProofTree]]:
     """Prove target, a goal already resolved through bindings."""
     for fact in ctx.facts.candidates(target):
-        unified = _match_fact(target, fact, bindings)
-        if unified is not None:
-            yield unified, ProofTree(Literal(fact), FACT, None)
+        matched = _match_head(target, fact, bindings, 0)
+        if matched is not None:
+            yield matched[1], ProofTree(Literal(fact), FACT, None)
     for clause in ctx.kb.clauses_for(target.predicate):
         ctx.tried += 1
         tag = ctx.tried

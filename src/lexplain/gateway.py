@@ -183,8 +183,9 @@ class HttpCompletionClient:
             body = response.json()
             text = body["choices"][0]["message"]["content"]
             model_id = body.get("model", config.model_id)
-            usage = body.get("usage") or {}
-            tokens = [usage.get(k, 0) for k in ("prompt_tokens", "completion_tokens")]
+            usage = body.get("usage")
+            keys = ("prompt_tokens", "completion_tokens")
+            tokens = [0, 0] if usage is None else [usage.get(k, 0) for k in keys]
         except (
             ValueError, LookupError, TypeError, AttributeError, RecursionError
         ) as exc:

@@ -39,6 +39,14 @@ _CANONICAL_SPACING = str.maketrans({**dict.fromkeys(_SPACE), ",": ", "})
 _KEYWORDS = ("Auxiliaries:", "Properties:")
 
 
+def _excerpt(text: str) -> str:
+    """text quoted for an error message, cut short when it is long, so a
+    diagnostic stays short however long the offending line is."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:60]!r}... ({len(text)} characters)"
+
+
 class TraceError(ValueError):
     """Invalid trace document or bundle."""
 
@@ -69,7 +77,7 @@ class TraceNode:
             raise TraceError(f"unknown trace node kind: {self.kind!r}")
         _check_kind(self.term, self.kind)
         if canonical_term_text(self.term) != self.term:
-            raise TraceError(f"non-canonical term text: {self.term!r}")
+            raise TraceError(f"non-canonical term text: {_excerpt(self.term)}")
 
     @property
     def role(self) -> str:
@@ -86,7 +94,9 @@ class TraceNode:
 def _check_kind(term: str, kind: str) -> None:
     # the rendered line carries the kind only as this prefix and [FACT]
     if (kind == NAF) != term.startswith("not("):
-        raise TraceError(f"{kind} node disagrees with its term text: {term!r}")
+        raise TraceError(
+            f"{kind} node disagrees with its term text: {_excerpt(term)}"
+        )
 
 
 def _check_tree(tree: tuple[TraceNode, ...], first_line: int | None) -> None:
@@ -119,10 +129,10 @@ def _check_tree(tree: tuple[TraceNode, ...], first_line: int | None) -> None:
 def _check_header(title: str, *atoms: str) -> None:
     """Reject a header whose rendered lines would not parse back."""
     if not title or title != title.strip() or "\n" in title or "\t" in title:
-        raise TraceError(f"invalid display title: {title!r}")
+        raise TraceError(f"invalid display title: {_excerpt(title)}")
     for atom in atoms:
         if not is_identifier(atom):
-            raise TraceError(f"header part is not an atom: {atom!r}")
+            raise TraceError(f"header part is not an atom: {_excerpt(atom)}")
 
 
 @dataclass(frozen=True)
@@ -219,7 +229,7 @@ def canonical_term_text(text: str) -> str:
         return text
     if _TERM_RE.fullmatch(text):
         return text.translate(_CANONICAL_SPACING)
-    raise TraceError(f"malformed term: {text!r}")
+    raise TraceError(f"malformed term: {_excerpt(text)}")
 
 
 # --- rendering ---------------------------------------------------------------
@@ -339,7 +349,8 @@ def parse_trace(text: str) -> TraceDocument:
             fail("trailing whitespace")
         wrong = not line if expected is None else line != expected
         if wrong:
-            fail(f"expected {what}" + (f", found {line!r}" if line else ""))
+            found = f", found {_excerpt(line)}" if line else ""
+            fail(f"expected {what}{found}")
         return line
 
     def header(what: str, parts: int) -> list[str]:
@@ -347,7 +358,7 @@ def parse_trace(text: str) -> TraceDocument:
         line = take(f"a {what}")
         atoms = line.split(" - ")
         if len(atoms) != parts or not all(map(is_identifier, atoms)):
-            fail(f"malformed {what}: {line!r}")
+            fail(f"malformed {what}: {_excerpt(line)}")
         take("a blank line", "")
         return atoms
 
@@ -397,10 +408,10 @@ def parse_trace(text: str) -> TraceDocument:
     bundle_title = title()
     option = take("an 'Option:' line")
     if not option.startswith("Option: "):
-        fail(f"expected 'Option: <atom>', found {option!r}")
+        fail(f"expected 'Option: <atom>', found {_excerpt(option)}")
     option = option[len("Option: ") :]
     if not is_identifier(option):
-        fail(f"option is not an atom: {option!r}")
+        fail(f"option is not an atom: {_excerpt(option)}")
     take("a blank line", "")
     explanation = tree()
 
@@ -423,7 +434,7 @@ def parse_trace(text: str) -> TraceDocument:
             fail("'Auxiliaries:' must precede 'Properties:'")
         if line == "Properties:":
             fail("'Properties:' appears twice")
-        fail(f"unknown section header: {line!r}")
+        fail(f"unknown section header: {_excerpt(line)}")
 
     bundle = TraceBundle(
         source_id, article, bundle_title, option, explanation, *groups

@@ -492,7 +492,18 @@ def test_evaluate_deeply_nested_output(workdir, capsys):
 def test_evaluate_deeply_nested_trace(workdir, capsys):
     # trace terms are function-free, so a nested term is malformed
     assert _evaluate(workdir, "no terms", DEEP_TRACE) == EXIT_DATA
-    assert "error: line 8: malformed term: 'f(f(" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: line 8: malformed term: 'f(f(" in err
+    assert len(err) < 200  # an excerpt of the 9,001-character term
+
+
+def test_evaluate_long_spaced_term_gives_a_short_message(workdir, capsys):
+    spaced = "f(" + " ,".join(["a"] * 100_000) + ")"  # 300 KB, flat
+    trace = DEEP_TRACE.replace(DEEP, spaced)
+    assert _evaluate(workdir, "no terms", trace) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "error: line 8: non-canonical term text: 'f(a ,a" in err
+    assert len(err) < 200
 
 
 def test_evaluate_unclosed_deeply_nested_trace_is_status_2(workdir, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from lexplain import fixtures
 from lexplain.dsl import (
     DslError,
+    _parse_literal,
     _parse_term,
     _tokenize_line,
     _TokenStream,
@@ -21,11 +22,15 @@ from lexplain.dsl import (
 )
 from lexplain.kb import (
     CaseFacts,
+    Clause,
     KbError,
+    KnowledgeBase,
+    LegalSource,
     SafetyError,
     StratificationError,
     Term,
     format_term,
+    is_identifier,
 )
 
 from conftest import NEAR_BLANKS, near_flat_terms
@@ -422,4 +427,204 @@ def test_parse_facts_matches_the_tokenizer_path(text):
 def test_parse_facts_edge_lines_match_the_tokenizer_path(text):
     assert _facts_outcome(parse_facts, text) == _facts_outcome(
         _reference_parse_facts, text
+    )
+
+
+# --- the rules reader before its metadata became one record ------------------
+#
+# parse_rules, its metadata class and its clause parser as they were, kept
+# as the reference for the reader that replaced them.
+
+_REFERENCE_METADATA_RE = re.compile(r"\s*%%\s*([a-z_]+)\s*:\s*(.*?)\s*$")
+_REFERENCE_METADATA_KEYS = ("source", "jurisdiction", "article", "title")
+
+
+def _reference_parse_clause_tokens(tokens, source, article, title):
+    stream = _TokenStream(tokens)
+    head_tok = stream.peek()
+    if head_tok.kind == "IDENT" and head_tok.value == "not":
+        raise DslError(
+            "negation cannot appear in a clause head",
+            head_tok.line,
+            head_tok.col,
+        )
+    head = _parse_term(stream)
+    body = []
+    tok = stream.next()
+    if tok.kind == "IMPLIES":
+        while True:
+            body.append(_parse_literal(stream))
+            sep = stream.next()
+            if sep.kind == "DOT":
+                break
+            if sep.kind != "COMMA":
+                raise DslError(
+                    f"expected ',' or '.', found {sep.value!r}",
+                    sep.line,
+                    sep.col,
+                )
+    elif tok.kind != "DOT":
+        raise DslError(
+            f"expected ':-' or '.', found {tok.value!r}", tok.line, tok.col
+        )
+    if not stream.exhausted:
+        extra = stream.peek()
+        raise DslError(
+            f"unexpected input after clause: {extra.value!r}",
+            extra.line,
+            extra.col,
+        )
+    return Clause(head, tuple(body), source, article, title)
+
+
+class _ReferenceMetadataState:
+    def __init__(self):
+        self.source_id = None
+        self.labels = {}
+        self.article = None
+        self.title = None
+
+    def apply(self, key, value, line_no):
+        if key == "source":
+            if not is_identifier(value):
+                raise DslError(f"invalid source id {value!r}", line_no)
+            self.source_id = value
+        elif key == "jurisdiction":
+            if self.source_id is None:
+                raise DslError(
+                    "%% jurisdiction must follow a %% source line", line_no
+                )
+            known = self.labels.get(self.source_id)
+            if known is not None and known != value:
+                raise DslError(
+                    f"conflicting jurisdiction for source {self.source_id}",
+                    line_no,
+                )
+            self.labels[self.source_id] = value
+        elif key == "article":
+            if not is_identifier(value):
+                raise DslError(f"invalid article id {value!r}", line_no)
+            self.article = value
+        elif key == "title":
+            if not value:
+                raise DslError("empty %% title", line_no)
+            self.title = value
+        else:
+            raise DslError(
+                f"unknown metadata key {key!r} "
+                f"(expected one of {', '.join(_REFERENCE_METADATA_KEYS)})",
+                line_no,
+            )
+
+    def current_source(self, line_no):
+        if self.source_id is None:
+            raise DslError("clause before any %% source line", line_no)
+        return LegalSource(self.source_id, self.labels.get(self.source_id, ""))
+
+    def require(self, line_no):
+        source = self.current_source(line_no)
+        if self.article is None:
+            raise DslError("clause before any %% article line", line_no)
+        if self.title is None:
+            raise DslError("clause before any %% title line", line_no)
+        return source, self.article, self.title
+
+
+def _reference_parse_rules(text: str) -> KnowledgeBase:
+    state = _ReferenceMetadataState()
+    pending: list = []
+    clauses: list = []
+
+    def drain() -> None:
+        while True:
+            dot = next(
+                (i for i, t in enumerate(pending) if t.kind == "DOT"), None
+            )
+            if dot is None:
+                return
+            tokens = pending[: dot + 1]
+            del pending[: dot + 1]
+            meta = state.require(tokens[0].line)
+            clauses.append(_reference_parse_clause_tokens(tokens, *meta))
+
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        stripped = line.strip()
+        if stripped.startswith("%%"):
+            if pending:
+                raise DslError(
+                    "metadata line inside an unterminated clause", line_no
+                )
+            match = _REFERENCE_METADATA_RE.match(line)
+            if not match:
+                raise DslError("malformed metadata line", line_no)
+            state.apply(match.group(1), match.group(2), line_no)
+            continue
+        _tokenize_line(line, line_no, pending)
+        drain()
+    if pending:
+        last = pending[-1]
+        raise DslError("unterminated clause (missing '.')", last.line, last.col)
+    return KnowledgeBase(tuple(clauses))
+
+
+def _rules_outcome(parse, text: str):
+    try:
+        return parse(text)
+    except DslError as exc:
+        return (str(exc), exc.line, exc.col)
+    except KbError as exc:
+        return (type(exc), str(exc))
+
+
+# Valid metadata lines for every key, with two values each, so that a key
+# is repeated and a jurisdiction may conflict with an earlier one.
+_GOOD_METADATA = [
+    "%% source: s", "%% source: t", "%% jurisdiction: X",
+    "%% jurisdiction: European Union", "%% article: a1", "%% article: a2",
+    "%% title: Article 1", "%% title: T", " \t%%  article :  a2  ",
+    "  %% jurisdiction:X",
+]
+# Invalid values for every key, unknown keys and malformed lines.
+_BAD_METADATA = [
+    "%% source: 1s", "%% source: S", "%% source:", "%% source: s t",
+    "%% jurisdiction:", "%% article: A1", "%% article:", "%% article: a-1",
+    "%% title:", "%% flavor: vanilla", "%% Source: s", "%%", "%% source",
+    "%%source:s", "%% : s", "%%% source: s",
+]
+# Clauses whole and split across lines, blank lines and comments.
+_GOOD_CLAUSES = [
+    "p(a).", "q(X) :- p(X).", "p(X) :-", "    q(X),", "    r(X).", "r(b).",
+    "p(X) :- not(q(X)).", "p(a) % note", "% p(X).", "", "p(a). q(b).",
+    "has_right(r, t, a, P, o) :- person(P).",
+]
+# Clauses that the parser or the KB rejects.
+_BAD_CLAUSES = [
+    "p(X) :- not(r(Y)).", "p :- not(p).", "not(p).", "p(q(a)).",
+    "p(a) q(b).", "p(a) :- .", "p(a), q(b).", "p(X) :- q(X) r(X).",
+    "p(a) :- q(a)", ".", "p(a) :- not(q(a)). q(a) :- not(p(a)).",
+]
+
+
+def _rule_files(lines: list[str]):
+    return st.tuples(
+        st.sampled_from(["", "%% source: s\n", HEADER, HEADER]),
+        st.lists(st.sampled_from(lines), max_size=12),
+    ).map(lambda parts: parts[0] + "\n".join(parts[1]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.one_of(
+        # listed twice, so that more than a few examples are valid programs
+        _rule_files(_GOOD_METADATA + _GOOD_CLAUSES),
+        _rule_files(_GOOD_METADATA + _GOOD_CLAUSES),
+        _rule_files(_GOOD_METADATA + _GOOD_CLAUSES + _BAD_METADATA + _BAD_CLAUSES),
+        st.lists(TOKENIZER_PIECES).map(lambda pieces: HEADER + "".join(pieces)),
+        st.lists(TOKENIZER_PIECES).map("".join),
+        st.lists(DSL_TOKENS).map("".join),
+    )
+)
+def test_parse_rules_matches_the_reference_reader(text):
+    assert _rules_outcome(parse_rules, text) == _rules_outcome(
+        _reference_parse_rules, text
     )

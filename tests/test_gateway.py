@@ -237,6 +237,10 @@ def test_http_client_malformed_body(monkeypatch):
         {**_ok_body(), "usage": {"prompt_tokens": "abc"}},
         {**_ok_body(), "usage": "oops"},
         {**_ok_body(), "usage": [1]},
+        {**_ok_body(), "usage": []},
+        {**_ok_body(), "usage": 0},
+        {**_ok_body(), "usage": False},
+        {**_ok_body(), "usage": ""},
         _ok_body(5),
         _ok_body(["hello"]),
         _ok_body(None),
@@ -252,6 +256,15 @@ def test_http_client_malformed_body(monkeypatch):
         with pytest.raises(BackendError) as err:
             client.complete("ping", CFG)
         assert "malformed" in str(err.value)
+
+
+def test_http_client_missing_usage_counts_no_tokens(monkeypatch):
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    without = {k: v for k, v in _ok_body().items() if k != "usage"}
+    for body in (without, {**without, "usage": None}):
+        session = _FakeSession([_FakeResponse(body=body)])
+        response = HttpCompletionClient(session=session).complete("ping", CFG)
+        assert (response.prompt_tokens, response.completion_tokens) == (0, 0)
 
 
 def test_http_client_empty_completion(monkeypatch):

@@ -581,7 +581,7 @@ def _reference_canonical_term_text(text: str) -> str:
         return text
     parsed = reference_parse_term_cached(text, 0, {})
     if parsed is None or parsed[1] != len(text):
-        raise TraceError(f"malformed term: {text!r}")
+        raise TraceError(f"malformed term: {trace_module._excerpt(text)}")
     return parsed[0]
 
 
@@ -611,5 +611,5 @@ def test_canonical_term_text_matches_the_stack_parser(text):
     # the grammar is the stack parser's, less every nested term
     expected = _canonical_outcome(_reference_canonical_term_text, text)
     if isinstance(expected, str) and not REFERENCE_FLAT_RE.fullmatch(expected):
-        expected = (TraceError, f"malformed term: {text!r}")
+        expected = (TraceError, f"malformed term: {trace_module._excerpt(text)}")
     assert _canonical_outcome(canonical_term_text, text) == expected
