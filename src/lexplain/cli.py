@@ -87,6 +87,10 @@ def _resolve(args: argparse.Namespace) -> None:
         except RecursionError:
             # nested too deeply to parse: as any other file that is not JSON
             raise json.JSONDecodeError("config file nests too deeply", text, 0)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:  # an integer with more digits than int() reads
+            raise json.JSONDecodeError("config file holds too long an integer", text, 0)
         if not isinstance(data, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
         types = {key: t for key, t in _SETTINGS.items() if key in data}

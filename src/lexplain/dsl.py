@@ -20,6 +20,7 @@ from .kb import (
     Literal,
     Term,
     Variable,
+    _excerpt,
     format_clause,
     format_term,
     is_identifier,
@@ -90,7 +91,7 @@ class _TokenStream:
         token = self.peek()
         if expected is not None and token.kind != expected:
             raise DslError(
-                f"expected {expected}, found {token.value!r}",
+                f"expected {expected}, found {_excerpt(token.value)}",
                 token.line,
                 token.col,
             )
@@ -102,6 +103,41 @@ class _TokenStream:
         return self._pos >= len(self._tokens)
 
 
+def _parse_list(stream: _TokenStream, parse_item, close: str) -> tuple:
+    """The ','-separated items that parse_item reads, up to the close token."""
+    items = []
+    while True:
+        items.append(parse_item(stream))
+        sep = stream.next()
+        if sep.value == close:
+            return tuple(items)
+        if sep.kind != "COMMA":
+            raise DslError(
+                f"expected ',' or {close!r}, found {_excerpt(sep.value)}",
+                sep.line,
+                sep.col,
+            )
+
+
+def _parse_arg(stream: _TokenStream) -> str | Variable:
+    arg = stream.next()
+    if arg.kind == "VAR":
+        return Variable(arg.value)
+    if arg.kind != "IDENT":
+        raise DslError(
+            f"expected an atom or variable, found {_excerpt(arg.value)}",
+            arg.line,
+            arg.col,
+        )
+    if not stream.exhausted and stream.peek().kind == "LPAREN":
+        raise DslError(
+            "nested terms are not supported (function-free fragment)",
+            arg.line,
+            arg.col,
+        )
+    return arg.value
+
+
 def _parse_term(stream: _TokenStream) -> Term:
     tok = stream.next("IDENT")
     if tok.value == "not":
@@ -109,33 +145,7 @@ def _parse_term(stream: _TokenStream) -> Term:
     if stream.exhausted or stream.peek().kind != "LPAREN":
         return Term(tok.value)
     stream.next("LPAREN")
-    args: list[str | Variable] = []
-    while True:
-        arg = stream.next()
-        if arg.kind == "VAR":
-            args.append(Variable(arg.value))
-        elif arg.kind == "IDENT":
-            if not stream.exhausted and stream.peek().kind == "LPAREN":
-                raise DslError(
-                    "nested terms are not supported (function-free fragment)",
-                    arg.line,
-                    arg.col,
-                )
-            args.append(arg.value)
-        else:
-            raise DslError(
-                f"expected an atom or variable, found {arg.value!r}",
-                arg.line,
-                arg.col,
-            )
-        sep = stream.next()
-        if sep.kind == "RPAREN":
-            break
-        if sep.kind != "COMMA":
-            raise DslError(
-                f"expected ',' or ')', found {sep.value!r}", sep.line, sep.col
-            )
-    return Term(tok.value, tuple(args))
+    return Term(tok.value, _parse_list(stream, _parse_arg, ")"))
 
 
 def _parse_literal(stream: _TokenStream) -> Literal:
@@ -149,12 +159,13 @@ def _parse_literal(stream: _TokenStream) -> Literal:
     return Literal(_parse_term(stream))
 
 
-def _parse_clause_tokens(
-    tokens: list[_Token],
-    source: LegalSource,
-    article: str,
-    title: str,
+def _parse_clause(
+    tokens: list[_Token], meta: dict[str, str], labels: dict[str, str]
 ) -> Clause:
+    for key in ("source", "article", "title"):
+        if key not in meta:
+            raise DslError(f"clause before any %% {key} line", tokens[0].line)
+    source = LegalSource(meta["source"], labels.get(meta["source"], ""))
     stream = _TokenStream(tokens)
     head_tok = stream.peek()
     if head_tok.kind == "IDENT" and head_tok.value == "not":
@@ -164,25 +175,16 @@ def _parse_clause_tokens(
             head_tok.col,
         )
     head = _parse_term(stream)
-    body: list[Literal] = []
     tok = stream.next()
     if tok.kind == "IMPLIES":
-        while True:
-            body.append(_parse_literal(stream))
-            sep = stream.next()
-            if sep.kind == "DOT":
-                break
-            if sep.kind != "COMMA":
-                raise DslError(
-                    f"expected ',' or '.', found {sep.value!r}",
-                    sep.line,
-                    sep.col,
-                )
-    elif tok.kind != "DOT":
+        body = _parse_list(stream, _parse_literal, ".")
+    elif tok.kind == "DOT":
+        body = ()
+    else:
         raise DslError(
-            f"expected ':-' or '.', found {tok.value!r}", tok.line, tok.col
+            f"expected ':-' or '.', found {_excerpt(tok.value)}", tok.line, tok.col
         )
-    return Clause(head, tuple(body), source, article, title)
+    return Clause(head, body, source, meta["article"], meta["title"])
 
 
 def _apply_metadata(
@@ -192,7 +194,7 @@ def _apply_metadata(
     source in force, once; every other key replaces its value in meta."""
     if key not in _METADATA_KEYS:
         raise DslError(
-            f"unknown metadata key {key!r} "
+            f"unknown metadata key {_excerpt(key)} "
             f"(expected one of {', '.join(_METADATA_KEYS)})",
             line_no,
         )
@@ -206,7 +208,7 @@ def _apply_metadata(
             )
         return
     if key != "title" and not is_identifier(value):
-        raise DslError(f"invalid {key} id {value!r}", line_no)
+        raise DslError(f"invalid {key} id {_excerpt(value)}", line_no)
     if not value:
         raise DslError("empty %% title", line_no)
     meta[key] = value
@@ -215,47 +217,33 @@ def _apply_metadata(
 def parse_rules(text: str) -> KnowledgeBase:
     """Parse rule-DSL source into a validated KnowledgeBase.
 
-    Raises DslError for syntax problems (with line/column), SafetyError for
-    unsafe negation, StratificationError for negation cycles.
+    Each line is tokenized whole; its tokens join the clause being read,
+    which is parsed when its '.' arrives. Raises DslError for syntax
+    problems (with line/column), SafetyError for unsafe negation,
+    StratificationError for negation cycles.
     """
     meta: dict[str, str] = {}  # the source, article and title in force
     labels: dict[str, str] = {}  # the jurisdiction label of each source id
-    pending: list[_Token] = []
+    clause: list[_Token] = []  # the tokens of the clause being read
     clauses: list[Clause] = []
-
-    def drain() -> None:
-        while True:
-            dot = next(
-                (i for i, t in enumerate(pending) if t.kind == "DOT"), None
-            )
-            if dot is None:
-                return
-            tokens = pending[: dot + 1]
-            del pending[: dot + 1]
-            for key in ("source", "article", "title"):
-                if key not in meta:
-                    raise DslError(f"clause before any %% {key} line", tokens[0].line)
-            source = LegalSource(meta["source"], labels.get(meta["source"], ""))
-            clauses.append(
-                _parse_clause_tokens(tokens, source, meta["article"], meta["title"])
-            )
-
     for line_no, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip()
-        if stripped.startswith("%%"):
-            if pending:
-                raise DslError(
-                    "metadata line inside an unterminated clause", line_no
-                )
+        if line.strip().startswith("%%"):
+            if clause:
+                raise DslError("metadata line inside an unterminated clause", line_no)
             match = _METADATA_RE.match(line)
             if not match:
                 raise DslError("malformed metadata line", line_no)
             _apply_metadata(meta, labels, match.group(1), match.group(2), line_no)
             continue
-        _tokenize_line(line, line_no, pending)
-        drain()
-    if pending:
-        last = pending[-1]
+        tokens: list[_Token] = []
+        _tokenize_line(line, line_no, tokens)
+        for token in tokens:
+            clause.append(token)
+            if token.kind == "DOT":
+                clauses.append(_parse_clause(clause, meta, labels))
+                clause = []
+    if clause:
+        last = clause[-1]
         raise DslError("unterminated clause (missing '.')", last.line, last.col)
     return KnowledgeBase(tuple(clauses))
 
@@ -268,6 +256,7 @@ def parse_facts(text: str) -> CaseFacts:
         if flat and flat[1] != "not":
             facts.add(Term(flat[1], tuple(_ATOM_RE.findall(flat[2] or ""))))
             continue
+        # the pattern took every ground fact: this is a blank, a comment or an error
         tokens: list[_Token] = []
         _tokenize_line(line, line_no, tokens)
         if not tokens:
@@ -278,17 +267,15 @@ def parse_facts(text: str) -> CaseFacts:
         if not stream.exhausted:
             extra = stream.peek()
             raise DslError(
-                f"unexpected input after fact: {extra.value!r}",
+                f"unexpected input after fact: {_excerpt(extra.value)}",
                 extra.line,
                 extra.col,
             )
-        if not term.is_ground:
-            name = sorted(term.variables())[0]
-            raise DslError(
-                f"non-ground fact {format_term(term)} (variable {name})",
-                line_no,
-            )
-        facts.add(term)
+        raise DslError(
+            f"non-ground fact {format_term(term)} "
+            f"(variable {min(term.variables())})",
+            line_no,
+        )
     return CaseFacts(frozenset(facts))
 
 

@@ -46,6 +46,13 @@ class StratificationError(KbError):
         super().__init__(f"program is not stratified: negation cycle {loop}")
 
 
+def _excerpt(text: str) -> str:
+    """text quoted for an error message, cut to 60 characters if longer."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:60]!r}... ({len(text)} characters)"
+
+
 def is_identifier(text: str) -> bool:
     return bool(_IDENT_RE.match(text))
 

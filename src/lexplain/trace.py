@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import NoReturn
 
 from .engine import FACT, NAF, RULE, ProofTree, RightsBundle
-from .kb import ATOM, KnowledgeBase, format_literal, is_identifier
+from .kb import ATOM, KnowledgeBase, _excerpt, format_literal, is_identifier
 
 INDENT = "    "
 
@@ -37,14 +37,6 @@ _SPACED_FLAT = rf"{ATOM}\({_S}{ATOM}{_S}(?:,{_S}{ATOM}{_S})*\)"
 _TERM_RE = re.compile(rf"{_SPACED_FLAT}|not\({_S}{_SPACED_FLAT}{_S}\)")
 _CANONICAL_SPACING = str.maketrans({**dict.fromkeys(_SPACE), ",": ", "})
 _KEYWORDS = ("Auxiliaries:", "Properties:")
-
-
-def _excerpt(text: str) -> str:
-    """text quoted for an error message, cut short when it is long, so a
-    diagnostic stays short however long the offending line is."""
-    if len(text) <= 60:
-        return repr(text)
-    return f"{text[:60]!r}... ({len(text)} characters)"
 
 
 class TraceError(ValueError):

@@ -334,6 +334,15 @@ def reference_parse_term_cached(text, pos, memo):
 
 
 # Parts of near-flat terms: atoms, and words and blanks that are not.
+_LONG = "x" * 300_000
+# Rules files with one 300 KB value that a diagnostic quotes.
+LONG_DSL_VALUES = {
+    "source-id": "%% source: 1" + _LONG,
+    "article-id": "%% source: s\n%% article: 1" + _LONG,
+    "unknown-key": f"%% k{_LONG}: v",
+    "word-for-comma": f"%% source: s\n%% article: a1\n%% title: T\np(a {_LONG}).\n",
+}
+
 NEAR_ATOMS = ("a", "b1", "cD_2", "not", "X", "Y1", "\xe9", "7", "")
 NEAR_BLANKS = ("", "", "", " ", " ", "\t", "\r", "\n", "\f", "\v", "\xa0")
 

@@ -27,6 +27,8 @@ from lexplain.cli import (
     main,
 )
 
+from conftest import LONG_DSL_VALUES
+
 
 @pytest.fixture()
 def workdir(tmp_path):
@@ -254,6 +256,58 @@ def test_compare_repetitions_stability_summary(workdir):
         stats = summary["stability"][source_id]
         assert stats["form_pass_rate"] == 1.0
         assert stats["coverage_max"] == stats["coverage_min"]
+
+
+def test_compare_without_a_right_under_one_source_is_status_3(workdir, capsys):
+    (workdir / "t.rules").write_text(
+        "%% source: t\n%% article: a1\n%% title: Article 1\n"
+        "has_right(r, t, a1, P, o) :- person_document(P, passport).\n",
+        encoding="utf-8",
+    )
+    out = workdir / "out"
+    status = main(
+        ["compare", *_common(workdir, "eu.rules", "t.rules"),
+         "--source", "directive_2010_64", "--source", "t",
+         "--mock-dir", str(workdir / "mock"), "--out", str(out)]
+    )
+    assert status == EXIT_NO_RESULT
+    assert capsys.readouterr().err == "no rights derivable for mario under t\n"
+    assert not out.exists()
+
+
+def _compare_over(workdir, mock, repetitions: int) -> int:
+    return main(
+        ["compare", *_common(workdir, "eu.rules", "pl.rules"),
+         "--source", SOURCES[0], "--source", SOURCES[1],
+         "--mock-dir", str(mock), "--repetitions", str(repetitions),
+         "--out", str(workdir / "out")]
+    )
+
+
+def test_compare_records_a_failed_run_and_goes_on(workdir):
+    # six files, cycled: run 1 reads the empty sixth file at its last step
+    mock = workdir / "mock"
+    for index in (1, 2, 3):
+        text = (mock / f"{index:03d}.txt").read_text(encoding="utf-8")
+        (mock / f"{index + 3:03d}.txt").write_text(text, encoding="utf-8")
+    (mock / "006.txt").write_text("", encoding="utf-8")
+    assert _compare_over(workdir, mock, 3) == EXIT_OK
+    summary = json.loads(
+        (workdir / "out" / "stability.json").read_text(encoding="utf-8")
+    )
+    assert (summary["runs_total"], summary["runs_completed"]) == (3, 2)
+    assert summary["failures"] == [
+        {"run_index": 1, "error": "chain step 2 failed: mock response file is empty"}
+    ]
+    assert sorted(p.name for p in (workdir / "out").glob("run_???.json")) == [
+        "run_000.json", "run_002.json"
+    ]
+
+
+def test_compare_whose_every_run_fails_is_status_4(workdir, capsys):
+    (workdir / "mock" / "001.txt").write_text("", encoding="utf-8")
+    assert _compare_over(workdir, workdir / "mock", 1) == EXIT_GATEWAY
+    assert capsys.readouterr().err == "all runs failed\n"
 
 
 def test_compare_requires_two_sources(workdir, capsys):
@@ -634,7 +688,9 @@ def test_config_file_names_a_mistyped_field_and_its_type(workdir, capsys):
 
 
 @pytest.mark.parametrize(
-    "text", ["{not json", "[" * 200_000], ids=["not_json", "nested_too_deeply"]
+    "text",
+    ["{not json", "[" * 200_000, '{"repetitions": ' + "9" * 5000 + "}"],
+    ids=["not_json", "nested_too_deeply", "integer_too_long"],
 )
 def test_config_file_that_does_not_parse_is_status_2(workdir, capsys, text):
     (workdir / "c.json").write_text(text, encoding="utf-8")
@@ -644,6 +700,26 @@ def test_config_file_that_does_not_parse_is_status_2(workdir, capsys, text):
             "--config", str(workdir / "c.json"), "--out", str(workdir / "out")]
     assert main(argv) == EXIT_DATA
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (workdir / "out").exists()
+
+
+def test_config_file_that_is_not_an_object_is_a_usage_error(workdir, capsys):
+    (workdir / "c.json").write_text('["--person", "mario"]', encoding="utf-8")
+    argv = ["solve", *_common(workdir, "eu.rules"),
+            "--config", str(workdir / "c.json")]
+    assert main(argv) == EXIT_USAGE
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["--kb", "--facts", "--person"])
+def test_solve_without_a_required_input_is_a_usage_error(
+    workdir, capsys, missing
+):
+    argv = ["solve", *_common(workdir, "eu.rules"), "--out", str(workdir / "out")]
+    at = argv.index(missing)
+    del argv[at : at + 2]
+    assert main(argv) == EXIT_USAGE
+    assert missing in capsys.readouterr().err
     assert not (workdir / "out").exists()
 
 
@@ -871,6 +947,15 @@ def test_bad_input_maps_to_documented_exit_code(
         (workdir / name).write_bytes(data)
     assert main(argv) == expected
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", LONG_DSL_VALUES.values(), ids=LONG_DSL_VALUES)
+def test_solve_prints_a_short_diagnostic_for_a_long_value(workdir, capsys, text):
+    (workdir / "long.rules").write_text(text, encoding="utf-8")
+    argv = ["solve", *_common(workdir, "long.rules")]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: line ") and len(err) < 200
 
 
 def test_solve_rejects_a_tab_in_a_title(tmp_path, capsys):

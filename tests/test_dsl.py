@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +12,7 @@ from hypothesis import strategies as st
 from lexplain import fixtures
 from lexplain.dsl import (
     DslError,
-    _parse_literal,
-    _parse_term,
     _tokenize_line,
-    _TokenStream,
     parse_facts,
     parse_rules,
     serialize_facts,
@@ -26,14 +24,17 @@ from lexplain.kb import (
     KbError,
     KnowledgeBase,
     LegalSource,
+    Literal,
     SafetyError,
     StratificationError,
     Term,
+    Variable,
+    _excerpt,
     format_term,
     is_identifier,
 )
 
-from conftest import NEAR_BLANKS, near_flat_terms
+from conftest import LONG_DSL_VALUES, NEAR_BLANKS, near_flat_terms
 
 HEADER = "%% source: s\n%% jurisdiction: X\n%% article: a1\n%% title: Article 1\n"
 
@@ -95,6 +96,29 @@ def test_unexpected_character_is_located():
         parse_rules(HEADER + "p(X) :- q(X) & r(X).\n")
     assert err.value.line == 5
     assert err.value.col == 14
+
+
+def test_argument_list_needs_a_comma_or_a_closing_parenthesis():
+    with pytest.raises(DslError) as err:
+        parse_rules(HEADER + "f(a b).\n")
+    assert str(err.value) == "line 5, column 5: expected ',' or ')', found 'b'"
+    with pytest.raises(DslError) as err:
+        parse_facts("f(a b).\n")
+    assert str(err.value) == "line 1, column 5: expected ',' or ')', found 'b'"
+
+
+@pytest.mark.parametrize("text", LONG_DSL_VALUES.values(), ids=LONG_DSL_VALUES)
+def test_diagnostics_quote_a_bounded_excerpt(text):
+    with pytest.raises(DslError) as err:
+        parse_rules(text)
+    assert len(str(err.value)) < 200
+    assert "... (300" in str(err.value)
+
+
+def test_short_values_are_quoted_whole():
+    with pytest.raises(DslError) as err:
+        parse_rules("%% source: 1" + "x" * 59)
+    assert str(err.value) == f"line 1: invalid source id '1{'x' * 59}'"
 
 
 def test_metadata_must_precede_clauses():
@@ -341,22 +365,135 @@ def test_tokenizer_reports_other_characters(text, col):
     )
 
 
+# --- the token reader as it was before the one-pass rules reader -------------
+#
+# The tokenizer, token stream, term parser and literal parser as they were,
+# kept so that both references below stay the old code while the live ones
+# change. Their messages quote values through kb._excerpt, as the live ones
+# do.
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(%)|(:-|[(),.])|([A-Za-z][A-Za-z0-9_]*)|([^ \t\r])"
+)
+_REFERENCE_PUNCT_KINDS = {":-": "IMPLIES", **_REFERENCE_PUNCT}
+
+
+class _ReferenceToken(NamedTuple):
+    kind: str
+    value: str
+    line: int
+    col: int
+
+
+def _reference_tokenize_line(text: str, line_no: int, out: list) -> None:
+    for match in _REFERENCE_TOKEN_RE.finditer(text):
+        group, value, col = match.lastindex, match.group(), match.start() + 1
+        if group == 2:
+            out.append(
+                _ReferenceToken(_REFERENCE_PUNCT_KINDS[value], value, line_no, col)
+            )
+        elif group == 3:
+            kind = "VAR" if value[0].isupper() else "IDENT"
+            out.append(_ReferenceToken(kind, value, line_no, col))
+        elif group == 4:
+            raise DslError(f"unexpected character {value!r}", line_no, col)
+        else:
+            return
+
+
+class _ReferenceTokenStream:
+    def __init__(self, tokens: list):
+        self._tokens = tokens
+        self._pos = 0
+
+    def peek(self):
+        try:
+            return self._tokens[self._pos]
+        except IndexError:
+            last = self._tokens[-1]
+            raise DslError("unexpected end of line", last.line, last.col) from None
+
+    def next(self, expected: str | None = None):
+        token = self.peek()
+        if expected is not None and token.kind != expected:
+            raise DslError(
+                f"expected {expected}, found {_excerpt(token.value)}",
+                token.line,
+                token.col,
+            )
+        self._pos += 1
+        return token
+
+    @property
+    def exhausted(self) -> bool:
+        return self._pos >= len(self._tokens)
+
+
+def _reference_parse_term(stream: _ReferenceTokenStream) -> Term:
+    tok = stream.next("IDENT")
+    if tok.value == "not":
+        raise DslError("'not' is reserved for negation", tok.line, tok.col)
+    if stream.exhausted or stream.peek().kind != "LPAREN":
+        return Term(tok.value)
+    stream.next("LPAREN")
+    args: list = []
+    while True:
+        arg = stream.next()
+        if arg.kind == "VAR":
+            args.append(Variable(arg.value))
+        elif arg.kind == "IDENT":
+            if not stream.exhausted and stream.peek().kind == "LPAREN":
+                raise DslError(
+                    "nested terms are not supported (function-free fragment)",
+                    arg.line,
+                    arg.col,
+                )
+            args.append(arg.value)
+        else:
+            raise DslError(
+                f"expected an atom or variable, found {_excerpt(arg.value)}",
+                arg.line,
+                arg.col,
+            )
+        sep = stream.next()
+        if sep.kind == "RPAREN":
+            break
+        if sep.kind != "COMMA":
+            raise DslError(
+                f"expected ',' or ')', found {_excerpt(sep.value)}",
+                sep.line,
+                sep.col,
+            )
+    return Term(tok.value, tuple(args))
+
+
+def _reference_parse_literal(stream: _ReferenceTokenStream) -> Literal:
+    tok = stream.peek()
+    if tok.kind == "IDENT" and tok.value == "not":
+        stream.next()
+        stream.next("LPAREN")
+        term = _reference_parse_term(stream)
+        stream.next("RPAREN")
+        return Literal(term, negated=True)
+    return Literal(_reference_parse_term(stream))
+
+
 def _reference_parse_facts(text: str) -> CaseFacts:
     """parse_facts as it read every line before its fact-line pattern, kept
     as the reference for it."""
     facts = set()
     for line_no, line in enumerate(text.split("\n"), start=1):
         tokens: list = []
-        _tokenize_line(line, line_no, tokens)
+        _reference_tokenize_line(line, line_no, tokens)
         if not tokens:
             continue
-        stream = _TokenStream(tokens)
-        term = _parse_term(stream)
+        stream = _ReferenceTokenStream(tokens)
+        term = _reference_parse_term(stream)
         stream.next("DOT")
         if not stream.exhausted:
             extra = stream.peek()
             raise DslError(
-                f"unexpected input after fact: {extra.value!r}",
+                f"unexpected input after fact: {_excerpt(extra.value)}",
                 extra.line,
                 extra.col,
             )
@@ -440,7 +577,7 @@ _REFERENCE_METADATA_KEYS = ("source", "jurisdiction", "article", "title")
 
 
 def _reference_parse_clause_tokens(tokens, source, article, title):
-    stream = _TokenStream(tokens)
+    stream = _ReferenceTokenStream(tokens)
     head_tok = stream.peek()
     if head_tok.kind == "IDENT" and head_tok.value == "not":
         raise DslError(
@@ -448,29 +585,29 @@ def _reference_parse_clause_tokens(tokens, source, article, title):
             head_tok.line,
             head_tok.col,
         )
-    head = _parse_term(stream)
+    head = _reference_parse_term(stream)
     body = []
     tok = stream.next()
     if tok.kind == "IMPLIES":
         while True:
-            body.append(_parse_literal(stream))
+            body.append(_reference_parse_literal(stream))
             sep = stream.next()
             if sep.kind == "DOT":
                 break
             if sep.kind != "COMMA":
                 raise DslError(
-                    f"expected ',' or '.', found {sep.value!r}",
+                    f"expected ',' or '.', found {_excerpt(sep.value)}",
                     sep.line,
                     sep.col,
                 )
     elif tok.kind != "DOT":
         raise DslError(
-            f"expected ':-' or '.', found {tok.value!r}", tok.line, tok.col
+            f"expected ':-' or '.', found {_excerpt(tok.value)}", tok.line, tok.col
         )
     if not stream.exhausted:
         extra = stream.peek()
         raise DslError(
-            f"unexpected input after clause: {extra.value!r}",
+            f"unexpected input after clause: {_excerpt(extra.value)}",
             extra.line,
             extra.col,
         )
@@ -487,7 +624,7 @@ class _ReferenceMetadataState:
     def apply(self, key, value, line_no):
         if key == "source":
             if not is_identifier(value):
-                raise DslError(f"invalid source id {value!r}", line_no)
+                raise DslError(f"invalid source id {_excerpt(value)}", line_no)
             self.source_id = value
         elif key == "jurisdiction":
             if self.source_id is None:
@@ -503,7 +640,7 @@ class _ReferenceMetadataState:
             self.labels[self.source_id] = value
         elif key == "article":
             if not is_identifier(value):
-                raise DslError(f"invalid article id {value!r}", line_no)
+                raise DslError(f"invalid article id {_excerpt(value)}", line_no)
             self.article = value
         elif key == "title":
             if not value:
@@ -511,7 +648,7 @@ class _ReferenceMetadataState:
             self.title = value
         else:
             raise DslError(
-                f"unknown metadata key {key!r} "
+                f"unknown metadata key {_excerpt(key)} "
                 f"(expected one of {', '.join(_REFERENCE_METADATA_KEYS)})",
                 line_no,
             )
@@ -559,7 +696,7 @@ def _reference_parse_rules(text: str) -> KnowledgeBase:
                 raise DslError("malformed metadata line", line_no)
             state.apply(match.group(1), match.group(2), line_no)
             continue
-        _tokenize_line(line, line_no, pending)
+        _reference_tokenize_line(line, line_no, pending)
         drain()
     if pending:
         last = pending[-1]

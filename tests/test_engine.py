@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexplain import engine, fixtures
@@ -405,6 +406,35 @@ def test_long_rule_body_is_derived(tmp_path):
     assert main(argv) == 0
 
 
+def _fact_tree(functor: str, *args) -> ProofTree:
+    return ProofTree(Literal(Term(functor, args)), FACT, None)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda b: {"primary": b.auxiliaries[0]},
+         "primary proof must conclude has_right/5"),
+        (lambda b: {"auxiliaries": b.properties},
+         "attachment must conclude auxiliary_right/5"),
+        (lambda b: {"auxiliaries": (_fact_tree(
+            "auxiliary_right", "art4", "art9", "mario", "cost", "state"),)},
+         "is not attached to primary article art3_1"),
+        (lambda b: {"properties": (_fact_tree(
+            "right_property", "art3_7", "art3_1", "mario", "form", V("F")),)},
+         "attachment proof not ground"),
+    ],
+    ids=["primary", "attachment-predicate", "attachment-article",
+         "attachment-non-ground"],
+)
+def test_rights_bundle_rejects_a_malformed_bundle(
+    eu_kb, mario_facts, change, message
+):
+    (bundle,) = derive_rights("mario", "directive_2010_64", eu_kb, mario_facts)
+    with pytest.raises(EngineError, match=message):
+        dataclasses.replace(bundle, **change(bundle))
+
+
 def test_non_ground_option_is_an_engine_error():
     kb = parse_rules(
         "%% source: s\n%% article: a\n%% title: T\n"
@@ -687,8 +717,39 @@ def _programs(draw):
     return KnowledgeBase(tuple(clauses)), CaseFacts(facts), goals
 
 
+# A head variable that occurs twice, under goals that give it a variable, the
+# same variable twice, and a constant first or second.
+REPEATED_HEAD = (
+    parse_rules("%% source: s\n%% article: a1\n%% title: T\np(X, X) :- q(X).\n"),
+    parse_facts("q(c).\nq(d).\n"),
+    [Term("p", (V("Y"), "c")), Term("p", (V("Y"), V("Y"))), Term("p", ("c", V("Y")))],
+)
+
+
+def _oracle_values(goal: Term, model) -> list[str]:
+    """The value of Y in each atom of model that goal matches."""
+    values = []
+    for atom in sorted(model, key=format_term):
+        binding: dict[str, str] = {}
+        if atom.predicate == goal.predicate and all(
+            binding.setdefault(g.name, a) == a if isinstance(g, Variable) else g == a
+            for g, a in zip(goal.args, atom.args)
+        ):
+            values.append(binding["Y"])
+    return values
+
+
+def test_repeated_head_variable_agrees_with_the_oracle():
+    kb, facts, goals = REPEATED_HEAD
+    model = ground_oracle(kb, facts)
+    answers = [[s["Y"] for s, _ in solve(goal, kb, facts)] for goal in goals]
+    assert answers == [_oracle_values(goal, model) for goal in goals]
+    assert answers == [["c"], ["c", "d"], ["c"]]
+
+
 @settings(max_examples=200, deadline=None)
 @given(_programs())
+@example(REPEATED_HEAD)
 def test_solve_equals_the_renaming_reference(program):
     kb, facts, goals = program
     for goal in goals:

@@ -16,6 +16,7 @@ from lexplain.gateway import (
     GatewayError,
     HttpCompletionClient,
     LlmConfig,
+    LlmResponse,
     MockCompletionClient,
     MockExhaustedError,
     TransportError,
@@ -61,6 +62,11 @@ def test_mock_rejects_empty_prompt():
     client = MockCompletionClient(["x"])
     with pytest.raises(ValueError):
         client.complete("", CFG)
+
+
+def test_response_rejects_empty_text():
+    with pytest.raises(ValueError, match="completion text must be nonempty"):
+        LlmResponse("", "mock", 0.0)
 
 
 def test_mock_cycles_when_asked():

@@ -149,6 +149,21 @@ def test_title_conflicts_rejected():
         KnowledgeBase((c1, c2))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LegalSource("Bad source"), "invalid source id: 'Bad source'"),
+        (lambda: clause(Term("p"), article="Art1"), "invalid article id: 'Art1'"),
+        (lambda: clause(Term("p"), title=""), "clause for a1 has an empty title"),
+    ],
+    ids=["source-id", "article-id", "empty-title"],
+)
+def test_constructors_reject_invalid_ids_and_titles(build, message):
+    with pytest.raises(KbError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_article_titles_collected(eu_kb):
     titles = eu_kb.article_titles
     assert titles["art3_1"] == "Article 3"

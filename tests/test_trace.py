@@ -246,6 +246,11 @@ def test_constructors_check_tree_shape(tree, message):
         TraceSection("a1", "cost", "state", "Article 1", tree)
 
 
+def test_node_rejects_an_unknown_kind():
+    with pytest.raises(TraceError, match="unknown trace node kind: 'LEMMA'"):
+        TraceNode("p", "LEMMA", 0)
+
+
 @pytest.mark.parametrize(
     "term, kind", [("not(p)", RULE), ("p", NAF), ("not(p)", FACT)]
 )
