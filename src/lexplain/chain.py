@@ -21,6 +21,7 @@ from .gateway import (
     CompletionClient,
     GatewayError,
     LlmConfig,
+    _checked,
 )
 from .trace import TraceDocument
 
@@ -220,27 +221,6 @@ _RUN_FIELDS = {
 }
 _STEP_FIELDS = {f.name: _JSON_TYPES[f.type] for f in fields(ChainStep)}
 _CONFIG_FIELDS = {f.name: _JSON_TYPES[f.type] for f in fields(LlmConfig)}
-
-
-def _checked(data, types_by_key: dict, what: str) -> dict:
-    """data, once it is an object with exactly these fields, each of one of
-    its JSON types: a tuple of Python types, or [str] for a list of strings."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be an object, not {type(data).__name__}")
-    for key in data:
-        if key not in types_by_key:
-            raise ValueError(f"{what} has an unknown field {key!r}")
-    for key, types in types_by_key.items():
-        if key not in data:
-            raise ValueError(f"{what} has no field {key!r}")
-        value = data[key]
-        if types == [str]:
-            well_typed = type(value) is list and all(type(v) is str for v in value)
-        else:
-            well_typed = type(value) in types
-        if not well_typed:
-            raise ValueError(f"{what} field {key!r} is of type {type(value).__name__}")
-    return data
 
 
 def run_from_json(data) -> ChainRun:

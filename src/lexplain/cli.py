@@ -4,7 +4,8 @@ outputs post hoc.
 
 Exit codes: 0 success, 1 usage error, 2 input/parse error, 3 no result,
 4 gateway/authentication error. Diagnostics go to stderr; results go to
-files under --out and to stdout.
+files under --out and to stdout. Only the commands that call the LLM or
+evaluate an output load the chain and evaluation modules.
 """
 
 from __future__ import annotations
@@ -12,35 +13,22 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .chain import (
-    _checked,
-    build_translation_prompt,
-    dumps_json,
-    run_repeated,
-    save_run,
-    write_json,
-)
 from .dsl import DslError, parse_facts, parse_rules
 from .engine import EngineError, derive_rights
-from .evaluation import (
-    TRANSLATION_SECTIONS,
-    check_form,
-    evaluate,
-    report_to_json,
-    stability,
-)
 from .gateway import (
     CompletionClient,
     GatewayError,
     HttpCompletionClient,
     LlmConfig,
+    _checked,
     mock_from_dir,
 )
-from .kb import KbError, KnowledgeBase, merge
+from .kb import KbError, KnowledgeBase, _excerpt, merge
 from .trace import TraceDocument, TraceError, parse_trace, render_trace
 
 EXIT_OK = 0
@@ -104,6 +92,14 @@ def _resolve(args: argparse.Namespace) -> None:
     for key in _SETTINGS:
         if getattr(args, key, None) is None:
             setattr(args, key, data.get(key, defaults.get(key)))
+    for key in ("kb", "facts", "mock_dir", "out"):
+        for name in getattr(args, key) if key == "kb" else [getattr(args, key)]:
+            try:  # a NUL, or a character the file system cannot encode
+                usable = name is None or b"\0" not in os.fsencode(name)
+            except UnicodeEncodeError:
+                usable = False
+            if not usable:
+                raise UsageError(f"{key} is not a usable path: {_excerpt(name)}")
     if args.mock_dir is not None and "base_url" in data:
         raise UsageError("mock_dir and a live base_url are mutually exclusive")
     llm = {"model_id": args.model, "temperature": args.temperature,
@@ -188,6 +184,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
+    from .chain import build_translation_prompt, write_json
+    from .evaluation import TRANSLATION_SECTIONS, evaluate, report_to_json
+
     _resolve(args)
     if len(args.sources) != 1:
         raise UsageError("explain needs exactly one --source")
@@ -208,6 +207,9 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .chain import run_repeated, save_run, write_json
+    from .evaluation import TRANSLATION_SECTIONS, evaluate, report_to_json, stability
+
     _resolve(args)
     if len(args.sources) != 2:
         raise UsageError("compare needs exactly two --source ids")
@@ -259,6 +261,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .chain import dumps_json, write_json
+    from .evaluation import TRANSLATION_SECTIONS, check_form, evaluate, report_to_json
+
     sections = tuple(args.sections) if args.sections else TRANSLATION_SECTIONS
     try:
         check_form("", sections)  # a duplicate or empty section is a usage error

@@ -21,6 +21,8 @@ from .kb import (
     Term,
     Variable,
     _excerpt,
+    _trusted_term,
+    _trusted_variable,
     format_clause,
     format_term,
     is_identifier,
@@ -122,7 +124,7 @@ def _parse_list(stream: _TokenStream, parse_item, close: str) -> tuple:
 def _parse_arg(stream: _TokenStream) -> str | Variable:
     arg = stream.next()
     if arg.kind == "VAR":
-        return Variable(arg.value)
+        return _trusted_variable(arg.value)
     if arg.kind != "IDENT":
         raise DslError(
             f"expected an atom or variable, found {_excerpt(arg.value)}",
@@ -143,9 +145,9 @@ def _parse_term(stream: _TokenStream) -> Term:
     if tok.value == "not":
         raise DslError("'not' is reserved for negation", tok.line, tok.col)
     if stream.exhausted or stream.peek().kind != "LPAREN":
-        return Term(tok.value)
+        return _trusted_term(tok.value, ())
     stream.next("LPAREN")
-    return Term(tok.value, _parse_list(stream, _parse_arg, ")"))
+    return _trusted_term(tok.value, _parse_list(stream, _parse_arg, ")"))
 
 
 def _parse_literal(stream: _TokenStream) -> Literal:
@@ -204,7 +206,8 @@ def _apply_metadata(
             raise DslError("%% jurisdiction must follow a %% source line", line_no)
         if labels.setdefault(source_id, value) != value:
             raise DslError(
-                f"conflicting jurisdiction for source {source_id}", line_no
+                f"conflicting jurisdiction for source {_excerpt(source_id, str)}",
+                line_no,
             )
         return
     if key != "title" and not is_identifier(value):
@@ -254,7 +257,7 @@ def parse_facts(text: str) -> CaseFacts:
     for line_no, line in enumerate(text.split("\n"), start=1):
         flat = _FACT_LINE_RE.fullmatch(line)
         if flat and flat[1] != "not":
-            facts.add(Term(flat[1], tuple(_ATOM_RE.findall(flat[2] or ""))))
+            facts.add(_trusted_term(flat[1], tuple(_ATOM_RE.findall(flat[2] or ""))))
             continue
         # the pattern took every ground fact: this is a blank, a comment or an error
         tokens: list[_Token] = []
@@ -272,8 +275,8 @@ def parse_facts(text: str) -> CaseFacts:
                 extra.col,
             )
         raise DslError(
-            f"non-ground fact {format_term(term)} "
-            f"(variable {min(term.variables())})",
+            f"non-ground fact {_excerpt(format_term(term), str)} "
+            f"(variable {_excerpt(min(term.variables()), str)})",
             line_no,
         )
     return CaseFacts(frozenset(facts))

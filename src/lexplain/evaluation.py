@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import fsum
 from typing import Iterable, Iterator
 
-from .chain import _checked
+from .gateway import _checked
 from .kb import ATOM
 from .trace import _S, _TERM_RE, TraceDocument, _canonical_spacing
 

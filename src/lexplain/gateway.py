@@ -104,6 +104,27 @@ class CompletionClient(Protocol):
         ...
 
 
+def _checked(data, types_by_key: dict, what: str) -> dict:
+    """data, once it is an object with exactly these fields, each of one of
+    its JSON types: a tuple of Python types, or [str] for a list of strings."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, not {type(data).__name__}")
+    for key in data:
+        if key not in types_by_key:
+            raise ValueError(f"{what} has an unknown field {key!r}")
+    for key, types in types_by_key.items():
+        if key not in data:
+            raise ValueError(f"{what} has no field {key!r}")
+        value = data[key]
+        if types == [str]:
+            well_typed = type(value) is list and all(type(v) is str for v in value)
+        else:
+            well_typed = type(value) in types
+        if not well_typed:
+            raise ValueError(f"{what} field {key!r} is of type {type(value).__name__}")
+    return data
+
+
 def _require_prompt(prompt: str) -> None:
     if not prompt:
         raise ValueError("prompt must be nonempty")
@@ -194,6 +215,10 @@ class HttpCompletionClient:
             raise BackendError(
                 "malformed backend response: content and model must be strings"
             )
+        try:
+            text.encode("utf-8")  # as the CLI writes it out
+        except UnicodeEncodeError as exc:
+            raise BackendError(f"malformed backend response: {exc}") from exc
         if any(type(count) is not int or count < 0 for count in tokens):
             raise BackendError(
                 "malformed backend response: token counts must be "

@@ -3,9 +3,9 @@
 The fragment is deliberately small: function-free terms over constants and
 variables, negation as failure in rule bodies only. Everything is immutable
 and validated at construction time, so a KnowledgeBase that exists is safe
-to reason over and to share across threads. The engine alone builds terms
-and variables through ``_trusted_term`` and ``_trusted_variable``, from
-parts that checked objects already hold.
+to reason over and to share across threads. The engine and the DSL readers
+alone build terms and variables through ``_trusted_term`` and
+``_trusted_variable``, from parts already checked or read by the atom grammar.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class SafetyError(KbError):
         self.variable = variable
         self.clause_text = clause_text
         super().__init__(
-            f"unsafe negation: variable {variable} in clause "
-            f"`{clause_text}` is bound neither by the head nor by an "
+            f"unsafe negation: variable {_excerpt(variable, str)} in clause "
+            f"`{_excerpt(clause_text, str)}` is bound neither by the head nor by an "
             f"earlier positive body literal"
         )
 
@@ -46,11 +46,11 @@ class StratificationError(KbError):
         super().__init__(f"program is not stratified: negation cycle {loop}")
 
 
-def _excerpt(text: str) -> str:
+def _excerpt(text: str, quote=repr) -> str:
     """text quoted for an error message, cut to 60 characters if longer."""
     if len(text) <= 60:
-        return repr(text)
-    return f"{text[:60]!r}... ({len(text)} characters)"
+        return quote(text)
+    return f"{quote(text[:60])}... ({len(text)} chars)"
 
 
 def is_identifier(text: str) -> bool:
@@ -139,8 +139,8 @@ class Term:
         return format_term(self)
 
 
-# The trusted constructors skip __post_init__. Callers pass only parts taken
-# from checked terms and variables, or a renamed ``_{tag}_{name}`` variable.
+# The trusted constructors skip __post_init__. Callers pass only parts of
+# checked objects, renamed ``_{tag}_{name}`` variables or DSL-read words.
 
 
 def _trusted_variable(name: str) -> Variable:
@@ -242,15 +242,15 @@ class KnowledgeBase:
             seen = titles.get(clause.article)
             if seen is not None and seen != clause.title:
                 raise KbError(
-                    f"conflicting titles for article {clause.article}: "
-                    f"{seen!r} vs {clause.title!r}"
+                    f"conflicting titles for article {_excerpt(clause.article, str)}: "
+                    f"{_excerpt(seen)} vs {_excerpt(clause.title)}"
                 )
             titles[clause.article] = clause.title
             label = labels.get(clause.source.id)
             if label is not None and label != clause.source.jurisdiction_label:
                 raise KbError(
                     f"conflicting jurisdiction labels for source "
-                    f"{clause.source.id}"
+                    f"{_excerpt(clause.source.id, str)}"
                 )
             labels[clause.source.id] = clause.source.jurisdiction_label
         object.__setattr__(self, "_strata", strata)

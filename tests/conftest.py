@@ -341,6 +341,23 @@ LONG_DSL_VALUES = {
     "article-id": "%% source: s\n%% article: 1" + _LONG,
     "unknown-key": f"%% k{_LONG}: v",
     "word-for-comma": f"%% source: s\n%% article: a1\n%% title: T\np(a {_LONG}).\n",
+    "jurisdiction": f"%% source: s{_LONG}\n%% jurisdiction: a\n%% jurisdiction: b\n",
+}
+# Rules files and a facts file, one of them with a 300 KB value that a
+# diagnostic of the facts reader or of the knowledge base quotes.
+_HEAD = "%% source: s\n%% article: a\n%% title: T\n"
+LONG_KB_VALUES = {
+    "non-ground-fact": ([""], f"p(a{_LONG}, X).\n"),
+    "unsafe-negation": ([_HEAD + f"p(X) :- q(X, a{_LONG}), not(r(Y)).\n"], ""),
+    "conflicting-titles": (
+        [f"%% source: s\n%% article: a\n%% title: T{_LONG}\np.\n%% title: U\nq.\n"],
+        "",
+    ),
+    "conflicting-labels": (
+        [f"%% source: s{_LONG}\n%% jurisdiction: {label}\n%% article: a\n"
+         "%% title: T\np.\n" for label in "ab"],
+        "",
+    ),
 }
 
 NEAR_ATOMS = ("a", "b1", "cD_2", "not", "X", "Y1", "\xe9", "7", "")

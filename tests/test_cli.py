@@ -27,7 +27,7 @@ from lexplain.cli import (
     main,
 )
 
-from conftest import LONG_DSL_VALUES
+from conftest import LONG_DSL_VALUES, LONG_KB_VALUES
 
 
 @pytest.fixture()
@@ -723,6 +723,36 @@ def test_solve_without_a_required_input_is_a_usage_error(
     assert not (workdir / "out").exists()
 
 
+# A NUL, and a lone surrogate that no file system encoding can write.
+UNUSABLE_PATHS = {"nul": "a\0b", "surrogate": "\ud800"}
+PATH_SETTINGS = {"kb": "--kb", "facts": "--facts", "mock_dir": "--mock-dir",
+                 "out": "--out"}
+
+
+@pytest.mark.parametrize("name", UNUSABLE_PATHS.values(), ids=UNUSABLE_PATHS)
+@pytest.mark.parametrize("key", PATH_SETTINGS)
+def test_config_file_path_no_file_can_have_is_a_usage_error(
+    workdir, capsys, key, name
+):
+    config = {"kb": [str(workdir / "eu.rules")], "facts": str(workdir / "mario.facts"),
+              "person": "mario", "out": str(workdir / "out")}
+    config[key] = [name] if key == "kb" else name
+    (workdir / "c.json").write_text(json.dumps(config), encoding="utf-8")
+    assert main(["solve", "--config", str(workdir / "c.json")]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"usage error: {key} is not a usable path")
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("name", UNUSABLE_PATHS.values(), ids=UNUSABLE_PATHS)
+@pytest.mark.parametrize("key, flag", PATH_SETTINGS.items())
+def test_path_flag_no_file_can_have_is_a_usage_error(workdir, capsys, key, flag, name):
+    argv = ["explain", *_common(workdir, "eu.rules"), "--source", "directive_2010_64",
+            "--mock-dir", str(workdir / "mock"), "--out", str(workdir / "out")]
+    assert main([*argv, flag, name]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"usage error: {key} is not a usable path")
+    assert not (workdir / "out").exists()
+
+
 def test_mock_dir_and_base_url_mutually_exclusive(workdir, capsys):
     config_path = workdir / "live.json"
     config_path.write_text(
@@ -956,6 +986,20 @@ def test_solve_prints_a_short_diagnostic_for_a_long_value(workdir, capsys, text)
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: line ") and len(err) < 200
+
+
+@pytest.mark.parametrize(
+    "rules, facts", LONG_KB_VALUES.values(), ids=LONG_KB_VALUES
+)
+def test_solve_prints_a_short_fact_or_kb_diagnostic(workdir, capsys, rules, facts):
+    argv = ["solve", "--facts", str(workdir / "long.facts"), "--person", "mario"]
+    (workdir / "long.facts").write_text(facts, encoding="utf-8")
+    for index, text in enumerate(rules):
+        (workdir / f"long{index}.rules").write_text(text, encoding="utf-8")
+        argv += ["--kb", str(workdir / f"long{index}.rules")]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err) < 200
 
 
 def test_solve_rejects_a_tab_in_a_title(tmp_path, capsys):

@@ -32,9 +32,10 @@ from lexplain.kb import (
     _excerpt,
     format_term,
     is_identifier,
+    merge,
 )
 
-from conftest import LONG_DSL_VALUES, NEAR_BLANKS, near_flat_terms
+from conftest import LONG_DSL_VALUES, LONG_KB_VALUES, NEAR_BLANKS, near_flat_terms
 
 HEADER = "%% source: s\n%% jurisdiction: X\n%% article: a1\n%% title: Article 1\n"
 
@@ -119,6 +120,39 @@ def test_short_values_are_quoted_whole():
     with pytest.raises(DslError) as err:
         parse_rules("%% source: 1" + "x" * 59)
     assert str(err.value) == f"line 1: invalid source id '1{'x' * 59}'"
+
+
+@pytest.mark.parametrize(
+    "rules, facts", LONG_KB_VALUES.values(), ids=LONG_KB_VALUES
+)
+def test_fact_and_kb_diagnostics_quote_a_bounded_excerpt(rules, facts):
+    with pytest.raises((DslError, KbError)) as err:
+        parse_facts(facts)
+        merge(parse_rules(text) for text in rules)
+    assert len(str(err.value)) < 200
+    assert "... (300" in str(err.value)
+    if isinstance(err.value, SafetyError):
+        assert len(err.value.clause_text) > 300_000
+
+
+@pytest.mark.parametrize(
+    "rules, facts, message",
+    [
+        ("", "p(a, X).\n", "line 1: non-ground fact p(a, X) (variable X)"),
+        ("%% source: s\n%% jurisdiction: a\n%% jurisdiction: b\n", "",
+         "line 3: conflicting jurisdiction for source s"),
+        (HEADER + "p(X) :- q(X), not(r(Y)).\n", "",
+         "unsafe negation: variable Y in clause `p(X) :- q(X), not(r(Y)).` "
+         "is bound neither by the head nor by an earlier positive body literal"),
+        ("%% source: s\n%% article: a\n%% title: T\np.\n%% title: U\nq.\n", "",
+         "conflicting titles for article a: 'T' vs 'U'"),
+    ],
+)
+def test_fact_and_kb_diagnostics_quote_short_values_as_before(rules, facts, message):
+    with pytest.raises((DslError, KbError)) as err:
+        parse_facts(facts)
+        parse_rules(rules)
+    assert str(err.value) == message
 
 
 def test_metadata_must_precede_clauses():

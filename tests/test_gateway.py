@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 import requests
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lexplain.gateway import (
     AuthenticationError,
@@ -250,6 +253,7 @@ def test_http_client_malformed_body(monkeypatch):
         _ok_body(5),
         _ok_body(["hello"]),
         _ok_body(None),
+        _ok_body("lone \ud800 surrogate"),
         {**_ok_body(), "model": 7},
         {**_ok_body(), "model": None},
         {**_ok_body(), "usage": {"prompt_tokens": 1.5}},
@@ -311,3 +315,118 @@ def test_http_client_against_real_socket(monkeypatch):
     finally:
         server.shutdown()
         server.server_close()
+
+
+# --- mutated bodies over a local socket ----------------------------------------
+
+_VALID_BODY = json.dumps(_ok_body()).encode()
+_BOMS = (b"\xef\xbb\xbf", b"\xff\xfe", b"\xfe\xff")
+_NOT_UTF8 = (b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80", b"\xf8\x88\x80\x80\x80")
+_HUGE_NUMBERS = ("1" * 5000, "-" + "9" * 40, "1e999", "-1e999", "1" + "0" * 400 + ".5")
+# Where a value of the wrong type or a huge number goes, as keys into the body.
+_PLACES = (
+    (), ("choices",), ("choices", 0), ("choices", 0, "message"),
+    ("choices", 0, "message", "content"), ("model",), ("usage",),
+    ("usage", "prompt_tokens"), ("usage", "completion_tokens"),
+)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False,
+    allow_infinity=False) | st.text(max_size=8) | st.just("\udfff"),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+# far above the few milliseconds one request takes over the loopback
+_SECONDS_PER_EXAMPLE = 10.0
+
+
+def _replaced(place: tuple, raw: str) -> bytes:
+    """The valid body with the JSON text raw at place."""
+    if not place:
+        return raw.encode()
+    body = _ok_body()
+    *parents, last = place
+    owner = body
+    for key in parents:
+        owner = owner[key]
+    owner[last] = "\0PLACE\0"
+    return json.dumps(body).replace('"\\u0000PLACE\\u0000"', raw).encode()
+
+
+@st.composite
+def _mutated_bodies(draw) -> bytes:
+    data = _VALID_BODY
+    pos = draw(st.integers(0, len(data) - 1))
+    kind = draw(st.sampled_from(
+        ("flip", "truncate", "bom", "bytes", "nest", "number", "type")
+    ))
+    if kind == "flip":
+        bit = 1 << draw(st.integers(0, 7))
+        return data[:pos] + bytes([data[pos] ^ bit]) + data[pos + 1:]
+    if kind == "truncate":
+        return data[:pos]
+    if kind == "bom":
+        return draw(st.sampled_from(_BOMS)) + data
+    if kind == "bytes":
+        return data[:pos] + draw(st.sampled_from(_NOT_UTF8)) + data[pos:]
+    place = draw(st.sampled_from(_PLACES))
+    if kind == "nest":
+        depth = draw(st.sampled_from((2, 1000, 100_000)))
+        return _replaced(place, "[" * depth + "1" + "]" * depth)
+    if kind == "number":
+        return _replaced(place, draw(st.sampled_from(_HUGE_NUMBERS)))
+    return _replaced(place, json.dumps(draw(_JSON_VALUES)))
+
+
+@pytest.fixture(scope="module")
+def body_server():
+    """A loopback server that answers each POST with served["body"], under a
+    Content-Length of its size plus served["missing"] bytes it never sends."""
+    served = {"body": b"", "missing": 0}
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            body = served["body"]
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body) + served["missing"]))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield served, f"http://127.0.0.1:{server.server_port}/v1/chat"
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(body=_mutated_bodies(), missing=st.sampled_from((0, 0, 1, 1000)))
+def test_http_client_on_a_mutated_body_raises_only_gateway_errors(
+    monkeypatch, body_server, body, missing
+):
+    monkeypatch.setenv("LLM_API_KEY", "sk-test")
+    served, url = body_server
+    served.update(body=body, missing=missing)
+    client = HttpCompletionClient(sleep=lambda _: None)
+    started = time.perf_counter()
+    try:
+        response = client.complete("ping", LlmConfig(base_url=url, timeout=5))
+    except GatewayError:
+        pass
+    else:
+        assert response.text.encode("utf-8")
+    assert time.perf_counter() - started < _SECONDS_PER_EXAMPLE
