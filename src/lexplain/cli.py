@@ -15,7 +15,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from .dsl import DslError, parse_facts, parse_rules
@@ -64,10 +63,22 @@ _SETTINGS = {
 }
 
 
+def _check_path(key: str, name: str | None) -> None:
+    """Refuse a path setting with a NUL, or a character the file system
+    cannot encode, before any file is opened."""
+    try:
+        usable = name is None or b"\0" not in os.fsencode(name)
+    except UnicodeEncodeError:
+        usable = False
+    if not usable:
+        raise UsageError(f"{key} is not a usable path: {_excerpt(name)}")
+
+
 def _resolve(args: argparse.Namespace) -> None:
     """Fill each flag no one gave in args from the --config file, then the
     defaults, and gather the LLM settings into args.llm."""
     data = {}
+    _check_path("config", args.config)
     if args.config is not None:
         text = Path(args.config).read_text(encoding="utf-8")
         try:
@@ -94,12 +105,7 @@ def _resolve(args: argparse.Namespace) -> None:
             setattr(args, key, data.get(key, defaults.get(key)))
     for key in ("kb", "facts", "mock_dir", "out"):
         for name in getattr(args, key) if key == "kb" else [getattr(args, key)]:
-            try:  # a NUL, or a character the file system cannot encode
-                usable = name is None or b"\0" not in os.fsencode(name)
-            except UnicodeEncodeError:
-                usable = False
-            if not usable:
-                raise UsageError(f"{key} is not a usable path: {_excerpt(name)}")
+            _check_path(key, name)
     if args.mock_dir is not None and "base_url" in data:
         raise UsageError("mock_dir and a live base_url are mutually exclusive")
     llm = {"model_id": args.model, "temperature": args.temperature,
@@ -207,6 +213,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from dataclasses import asdict
+
     from .chain import run_repeated, save_run, write_json
     from .evaluation import TRANSLATION_SECTIONS, evaluate, report_to_json, stability
 
@@ -269,6 +277,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         check_form("", sections)  # a duplicate or empty section is a usage error
     except ValueError as exc:
         raise UsageError(str(exc))
+    for key in ("output_file", "trace_file", "out"):
+        _check_path(key, getattr(args, key))
     output_text = Path(args.output_file).read_text(encoding="utf-8")
     trace_doc = parse_trace(Path(args.trace_file).read_text(encoding="utf-8"))
     data = report_to_json(evaluate(output_text, trace_doc, sections))
@@ -362,6 +372,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse exits after printing --help
+        return exc.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,7 +15,6 @@ resolution engine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
 
 from .kb import (
@@ -26,6 +25,7 @@ from .kb import (
     Literal,
     Term,
     Variable,
+    _Record,
     _trusted_term,
     _trusted_variable,
     format_literal,
@@ -72,11 +72,12 @@ class UnknownSourceError(EngineError):
         super().__init__(f"unknown legal source: {source_id}")
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(_Record):
     """Answer bindings, restricted to the query's own variables."""
 
-    bindings: dict[str, str] = field(default_factory=dict)
+    def __init__(self, bindings: dict[str, str] = None):  # type: ignore[assignment]
+        # None stands for a new dict on each call
+        object.__setattr__(self, "bindings", {} if bindings is None else bindings)
 
     def __getitem__(self, name: str) -> str:
         return self.bindings[name]
@@ -91,8 +92,7 @@ class Substitution:
         return len(self.bindings)
 
 
-@dataclass(frozen=True)
-class ProofTree:
+class ProofTree(_Record):
     """One derivation step: the proved literal and how it was justified.
 
     kind is RULE (children mirror the applied clause's body, in order),
@@ -101,22 +101,21 @@ class ProofTree:
     this when it is built, so a tree that exists has this shape throughout.
     """
 
-    literal: Literal
-    kind: str
-    article: str | None
-    children: tuple["ProofTree", ...] = ()
-
-    def __post_init__(self):
-        kind = self.kind
+    def __init__(self, literal: Literal, kind: str, article: str | None,
+                 children: tuple["ProofTree", ...] = ()):
+        object.__setattr__(self, "literal", literal)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "article", article)
+        object.__setattr__(self, "children", children)
         if kind == RULE:
-            if self.article is None:
+            if article is None:
                 raise EngineError("RULE node without an article id")
-            if self.literal.negated:
+            if literal.negated:
                 raise EngineError("RULE node with a negated literal")
         elif kind == FACT or kind == NAF:
-            if self.children:
+            if children:
                 raise EngineError(f"{kind} node with children")
-            if self.literal.negated != (kind == NAF):
+            if literal.negated != (kind == NAF):
                 wrong = "positive" if kind == NAF else "negated"
                 raise EngineError(f"{kind} node with a {wrong} literal")
         else:
@@ -139,27 +138,27 @@ class ProofTree:
             stack.extend((depth + 1, c) for c in reversed(node.children))
 
 
-@dataclass(frozen=True)
-class RightsBundle:
+class RightsBundle(_Record):
     """A primary right proof plus the auxiliary/property proofs attached
     to the same person, source, and primary article."""
 
-    source: LegalSource
-    primary: ProofTree
-    auxiliaries: tuple[ProofTree, ...] = ()
-    properties: tuple[ProofTree, ...] = ()
-
-    def __post_init__(self):
-        root = self.primary.literal.term
+    def __init__(self, source: LegalSource, primary: ProofTree,
+                 auxiliaries: tuple[ProofTree, ...] = (),
+                 properties: tuple[ProofTree, ...] = ()):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "primary", primary)
+        object.__setattr__(self, "auxiliaries", auxiliaries)
+        object.__setattr__(self, "properties", properties)
+        root = primary.literal.term
         if root.predicate != ("has_right", 5):
             raise EngineError(
                 f"primary proof must conclude has_right/5, got {root}"
             )
-        if not self.primary.is_ground:
+        if not primary.is_ground:
             raise EngineError("primary proof tree is not ground")
         for tree, functor in itertools.chain(
-            ((t, "auxiliary_right") for t in self.auxiliaries),
-            ((t, "right_property") for t in self.properties),
+            ((t, "auxiliary_right") for t in auxiliaries),
+            ((t, "right_property") for t in properties),
         ):
             attached = tree.literal.term
             if attached.predicate != (functor, 5):

@@ -13,9 +13,10 @@ from __future__ import annotations
 import os
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
+
+from .kb import _Record
 
 if TYPE_CHECKING:
     import requests
@@ -61,41 +62,40 @@ class MockExhaustedError(GatewayError):
     """The mock's response queue ran out."""
 
 
-@dataclass(frozen=True)
-class LlmConfig:
+class LlmConfig(_Record):
     """Generation settings; defaults are the documented assumptions."""
 
-    model_id: str = "gpt-4"
-    temperature: float = 0.0
-    max_tokens: int = 2048
-    base_url: str = DEFAULT_BASE_URL
-    timeout: float = 60.0
-
-    def __post_init__(self):
-        if not self.model_id:
+    def __init__(self, model_id: str = "gpt-4", temperature: float = 0.0,
+                 max_tokens: int = 2048, base_url: str = DEFAULT_BASE_URL,
+                 timeout: float = 60.0):
+        object.__setattr__(self, "model_id", model_id)
+        object.__setattr__(self, "temperature", temperature)
+        object.__setattr__(self, "max_tokens", max_tokens)
+        object.__setattr__(self, "base_url", base_url)
+        object.__setattr__(self, "timeout", timeout)
+        if not model_id:
             raise ValueError("model_id must be nonempty")
-        if not 0.0 <= self.temperature <= 2.0:
-            raise ValueError(
-                f"temperature must be in [0, 2], got {self.temperature}"
-            )
-        if self.max_tokens <= 0:
+        if not 0.0 <= temperature <= 2.0:
+            raise ValueError(f"temperature must be in [0, 2], got {temperature}")
+        if max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
-        if not self.base_url:
+        if not base_url:
             raise ValueError("base_url must be nonempty")
-        if self.timeout <= 0:
+        if timeout <= 0:
             raise ValueError("timeout must be positive")
 
 
-@dataclass(frozen=True)
-class LlmResponse:
-    text: str
-    model_id: str
-    latency: float
-    prompt_tokens: int = 0
-    completion_tokens: int = 0
+class LlmResponse(_Record):
+    """One completion: its text, the model that wrote it, and its cost."""
 
-    def __post_init__(self):
-        if not self.text:
+    def __init__(self, text: str, model_id: str, latency: float,
+                 prompt_tokens: int = 0, completion_tokens: int = 0):
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "model_id", model_id)
+        object.__setattr__(self, "latency", latency)
+        object.__setattr__(self, "prompt_tokens", prompt_tokens)
+        object.__setattr__(self, "completion_tokens", completion_tokens)
+        if not text:
             raise ValueError("completion text must be nonempty")
 
 

@@ -6,12 +6,13 @@ and validated at construction time, so a KnowledgeBase that exists is safe
 to reason over and to share across threads. The engine and the DSL readers
 alone build terms and variables through ``_trusted_term`` and
 ``_trusted_variable``, from parts already checked or read by the atom grammar.
+The records of every eager module derive from ``_Record``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Union
 
 # The atom grammar; every regex that reads an atom is built from it.
@@ -61,6 +62,61 @@ def is_variable_name(text: str) -> bool:
     return bool(_VAR_RE.match(text))
 
 
+class _DataclassFields:
+    """A record class's ``__dataclass_fields__``: the name through which
+    ``dataclasses.fields``, ``replace``, ``asdict`` and ``is_dataclass``
+    read a class. Only they look it up, after their caller has imported
+    ``dataclasses``, so the fields are made on first lookup."""
+
+    def __get__(self, record, cls):
+        from dataclasses import field, make_dataclass
+
+        types = cls.__init__.__annotations__
+        defaults = cls.__init__.__defaults__ or ()
+        specs = [[name, types[name]] for name in cls._fields]
+        for spec, default in zip(specs[len(specs) - len(defaults):], defaults):
+            spec.append(field(default=default))
+        made = make_dataclass(cls.__name__, map(tuple, specs))
+        cls.__dataclass_fields__ = made.__dataclass_fields__
+        return made.__dataclass_fields__
+
+
+class _Record:
+    """A frozen record. Its fields are the annotated parameters of its
+    ``__init__``, which sets each with ``object.__setattr__``; equality,
+    hash and repr are those of a frozen dataclass with these fields.
+    """
+
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls):
+        names = tuple(cls.__init__.__annotations__)
+        get = attrgetter(*names)
+        cls._fields = cls.__match_args__ = names
+        cls._values = staticmethod(
+            get if len(names) > 1 else lambda record: (get(record),)
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        pairs = zip(self._fields, self._values(self))
+        fields = ", ".join(f"{name}={value!r}" for name, value in pairs)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # Predicate catalogue of the rights-determination schema. Nothing restricts
 # a KnowledgeBase to these symbols; the catalogue documents the vocabulary
 # the shipped sources use and gives tests a canonical goal space.
@@ -79,19 +135,17 @@ PREDICATE_SCHEMA: dict[tuple[str, int], str] = {
 }
 
 
-@dataclass(frozen=True)
-class Variable:
+class Variable(_Record):
     """A logic variable with an uppercase-initial name.
 
     Names that start with ``_`` belong to the engine's renamed clause
     variables and cannot be built here, so no goal can alias them.
     """
 
-    name: str
-
-    def __post_init__(self):
-        if not is_variable_name(self.name):
-            raise KbError(f"invalid variable name: {self.name!r}")
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+        if not is_variable_name(name):
+            raise KbError(f"invalid variable name: {name!r}")
 
     def __str__(self) -> str:
         return self.name
@@ -101,17 +155,15 @@ class Variable:
 TermArg = Union[str, Variable]
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(_Record):
     """A function-free term: a functor applied to atoms and variables."""
 
-    functor: str
-    args: tuple[TermArg, ...] = ()
-
-    def __post_init__(self):
-        if not is_identifier(self.functor):
-            raise KbError(f"invalid functor: {self.functor!r}")
-        for arg in self.args:
+    def __init__(self, functor: str, args: tuple[TermArg, ...] = ()):
+        object.__setattr__(self, "functor", functor)
+        object.__setattr__(self, "args", args)
+        if not is_identifier(functor):
+            raise KbError(f"invalid functor: {functor!r}")
+        for arg in args:
             if isinstance(arg, Variable):
                 continue
             if not isinstance(arg, str) or not is_identifier(arg):
@@ -139,8 +191,9 @@ class Term:
         return format_term(self)
 
 
-# The trusted constructors skip __post_init__. Callers pass only parts of
-# checked objects, renamed ``_{tag}_{name}`` variables or DSL-read words.
+# The trusted constructors skip the checks of __init__. Callers pass only
+# parts of checked objects, renamed ``_{tag}_{name}`` variables or DSL-read
+# words.
 
 
 def _trusted_variable(name: str) -> Variable:
@@ -156,31 +209,28 @@ def _trusted_term(functor: str, args: tuple[TermArg, ...]) -> Term:
     return term
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(_Record):
     """A term or its negation as failure; negation only occurs in bodies."""
 
-    term: Term
-    negated: bool = False
+    def __init__(self, term: Term, negated: bool = False):
+        object.__setattr__(self, "term", term)
+        object.__setattr__(self, "negated", negated)
 
     def __str__(self) -> str:
         return format_literal(self)
 
 
-@dataclass(frozen=True)
-class LegalSource:
+class LegalSource(_Record):
     """Identity of a legal source; the jurisdiction is explicit metadata."""
 
-    id: str
-    jurisdiction_label: str = ""
+    def __init__(self, id: str, jurisdiction_label: str = ""):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "jurisdiction_label", jurisdiction_label)
+        if not is_identifier(id):
+            raise KbError(f"invalid source id: {id!r}")
 
-    def __post_init__(self):
-        if not is_identifier(self.id):
-            raise KbError(f"invalid source id: {self.id!r}")
 
-
-@dataclass(frozen=True)
-class Clause:
+class Clause(_Record):
     """One rule (or unconditional rule) of a legal source.
 
     A clause with an empty body and a ground head is a fact clause; an
@@ -188,19 +238,19 @@ class Clause:
     holds for every instantiation.
     """
 
-    head: Term
-    body: tuple[Literal, ...]
-    source: LegalSource
-    article: str
-    title: str
-
-    def __post_init__(self):
-        if self.head.functor == "not":
+    def __init__(self, head: Term, body: tuple[Literal, ...],
+                 source: LegalSource, article: str, title: str):
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "article", article)
+        object.__setattr__(self, "title", title)
+        if head.functor == "not":
             raise KbError("negation cannot appear in a clause head")
-        if not is_identifier(self.article):
-            raise KbError(f"invalid article id: {self.article!r}")
-        if not self.title:
-            raise KbError(f"clause for {self.article} has an empty title")
+        if not is_identifier(article):
+            raise KbError(f"invalid article id: {article!r}")
+        if not title:
+            raise KbError(f"clause for {article} has an empty title")
         _check_safety(self)
 
     def variables(self) -> set[str]:
@@ -226,14 +276,12 @@ def _check_safety(clause: Clause) -> None:
             bound |= lit.term.variables()
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(_Record):
     """An ordered set of clauses, stratified with respect to negation."""
 
-    clauses: tuple[Clause, ...] = ()
-
-    def __post_init__(self):
-        strata = compute_strata(self.clauses)
+    def __init__(self, clauses: tuple[Clause, ...] = ()):
+        object.__setattr__(self, "clauses", clauses)
+        strata = compute_strata(clauses)
         titles: dict[str, str] = {}
         labels: dict[str, str] = {}
         by_head: dict[tuple[str, int], list[Clause]] = {}
@@ -311,17 +359,15 @@ def merge(kbs: Iterable[KnowledgeBase]) -> KnowledgeBase:
     return KnowledgeBase(tuple(clauses))
 
 
-@dataclass(frozen=True)
-class CaseFacts:
+class CaseFacts(_Record):
     """Ground atoms describing one specific case."""
 
-    facts: frozenset[Term] = frozenset()
-
-    def __post_init__(self):
-        for fact in self.facts:
+    def __init__(self, facts: frozenset[Term] = frozenset()):
+        object.__setattr__(self, "facts", facts)
+        for fact in facts:
             if not fact.is_ground:
                 raise KbError(f"non-ground fact: {fact}")
-        ordered = tuple(sorted(self.facts, key=format_term))
+        ordered = tuple(sorted(facts, key=format_term))
         # Keys (functor, arity) and (functor, arity, first argument).
         index: dict[tuple, list[Term]] = {}
         for fact in ordered:

@@ -12,12 +12,11 @@ negated; a line holding a nested term does not parse.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NoReturn
 
 from .engine import FACT, NAF, RULE, ProofTree, RightsBundle
-from .kb import ATOM, KnowledgeBase, _excerpt, format_literal, is_identifier
+from .kb import ATOM, KnowledgeBase, _excerpt, _Record, format_literal, is_identifier
 
 INDENT = "    "
 
@@ -55,21 +54,20 @@ class TraceParseError(TraceError):
         super().__init__(f"line {line}: {message}")
 
 
-@dataclass(frozen=True)
-class TraceNode:
-    """One tree line: canonical term text, how it was justified, and its
-    depth below the tree's root (the line's indentation level)."""
+class TraceNode(_Record):
+    """One tree line: canonical term text, how it was justified (RULE,
+    FACT or NAF), and its depth below the tree's root (the line's
+    indentation level)."""
 
-    term: str
-    kind: str  # RULE, FACT, or NAF
-    depth: int
-
-    def __post_init__(self):
-        if self.kind not in (RULE, FACT, NAF):
-            raise TraceError(f"unknown trace node kind: {self.kind!r}")
-        _check_kind(self.term, self.kind)
-        if canonical_term_text(self.term) != self.term:
-            raise TraceError(f"non-canonical term text: {_excerpt(self.term)}")
+    def __init__(self, term: str, kind: str, depth: int):
+        object.__setattr__(self, "term", term)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "depth", depth)
+        if kind not in (RULE, FACT, NAF):
+            raise TraceError(f"unknown trace node kind: {kind!r}")
+        _check_kind(term, kind)
+        if canonical_term_text(term) != term:
+            raise TraceError(f"non-canonical term text: {_excerpt(term)}")
 
     @property
     def role(self) -> str:
@@ -127,44 +125,46 @@ def _check_header(title: str, *atoms: str) -> None:
             raise TraceError(f"header part is not an atom: {_excerpt(atom)}")
 
 
-@dataclass(frozen=True)
-class TraceSection:
-    """An auxiliary-right or right-property block."""
+class TraceSection(_Record):
+    """An auxiliary-right or right-property block; ``tree`` holds its
+    tree's lines in document order."""
 
-    article: str
-    right_type: str
-    value: str
-    title: str
-    tree: tuple[TraceNode, ...]  # the tree's lines in document order
-
-    def __post_init__(self):
-        _check_header(self.title, self.article, self.right_type, self.value)
-        _check_tree(self.tree, None)
-
-
-@dataclass(frozen=True)
-class TraceBundle:
-    """Structured form of one trace document."""
-
-    source_id: str
-    article: str
-    title: str
-    option: str
-    explanation: tuple[TraceNode, ...]  # the tree's lines in document order
-    auxiliaries: tuple[TraceSection, ...] = ()
-    properties: tuple[TraceSection, ...] = ()
-
-    def __post_init__(self):
-        _check_header(self.title, self.source_id, self.article, self.option)
-        _check_tree(self.explanation, None)
+    def __init__(self, article: str, right_type: str, value: str, title: str,
+                 tree: tuple[TraceNode, ...]):
+        object.__setattr__(self, "article", article)
+        object.__setattr__(self, "right_type", right_type)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "tree", tree)
+        _check_header(title, article, right_type, value)
+        _check_tree(tree, None)
 
 
-@dataclass(frozen=True)
-class TraceDocument:
+class TraceBundle(_Record):
+    """Structured form of one trace document; ``explanation`` holds the
+    tree's lines in document order."""
+
+    def __init__(self, source_id: str, article: str, title: str, option: str,
+                 explanation: tuple[TraceNode, ...],
+                 auxiliaries: tuple[TraceSection, ...] = (),
+                 properties: tuple[TraceSection, ...] = ()):
+        object.__setattr__(self, "source_id", source_id)
+        object.__setattr__(self, "article", article)
+        object.__setattr__(self, "title", title)
+        object.__setattr__(self, "option", option)
+        object.__setattr__(self, "explanation", explanation)
+        object.__setattr__(self, "auxiliaries", auxiliaries)
+        object.__setattr__(self, "properties", properties)
+        _check_header(title, source_id, article, option)
+        _check_tree(explanation, None)
+
+
+class TraceDocument(_Record):
     """A trace's text and bundle; the term views are computed once each."""
 
-    raw_text: str
-    bundle: TraceBundle
+    def __init__(self, raw_text: str, bundle: TraceBundle):
+        object.__setattr__(self, "raw_text", raw_text)
+        object.__setattr__(self, "bundle", bundle)
 
     @cached_property
     def terms(self) -> tuple[str, ...]:

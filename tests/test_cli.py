@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -1125,5 +1127,64 @@ def test_cli_returns_a_documented_code_on_any_input(
         if status == EXIT_USAGE:
             # settings are resolved before anything is written
             assert sorted(os.listdir(work)) == entries
+    assert status in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NO_RESULT,
+                      EXIT_GATEWAY)
+
+
+def _evaluate_paths(workdir) -> dict[str, str]:
+    (workdir / "explanation.txt").write_text(
+        fixtures.translation_output_eu(), encoding="utf-8"
+    )
+    (workdir / "t.trace").write_text(fixtures.listing1_trace(), encoding="utf-8")
+    return {"output_file": str(workdir / "explanation.txt"),
+            "trace_file": str(workdir / "t.trace"),
+            "out": str(workdir / "report.json")}
+
+
+@pytest.mark.parametrize("name", UNUSABLE_PATHS.values(), ids=UNUSABLE_PATHS)
+def test_config_flag_no_file_can_have_is_a_usage_error(workdir, capsys, name):
+    argv = ["solve", *_common(workdir, "eu.rules"), "--out", str(workdir / "out")]
+    assert main([*argv, "--config", name]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: config is not a usable path")
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("name", UNUSABLE_PATHS.values(), ids=UNUSABLE_PATHS)
+@pytest.mark.parametrize("key", ["output_file", "trace_file", "out"])
+def test_evaluate_path_no_file_can_have_is_a_usage_error(workdir, capsys, key, name):
+    paths = _evaluate_paths(workdir)
+    paths[key] = name
+    argv = ["evaluate", paths["output_file"], paths["trace_file"], "--out", paths["out"]]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: {key} is not a usable path")
+    assert captured.out == ""
+    assert not (workdir / "report.json").exists()
+
+
+# Words the parser knows, and a few inputs a run can reach, among arbitrary
+# short tokens; a NUL, a lone surrogate and "." (a directory) are paths no
+# command can read.
+ARGV_TOKENS = st.one_of(
+    st.sampled_from(["solve", "explain", "compare", "evaluate", "--kb", "--facts",
+                     "--source", "--person", "--out", "--config", "--mock-dir",
+                     "--model", "--temperature", "--repetitions", "--sections",
+                     "-h", "mario", "directive_2010_64", ".", "a\0b", "\ud800"]),
+    st.text(max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=2000)
+@given(argv=st.lists(ARGV_TOKENS, max_size=8))
+def test_main_returns_a_documented_code_for_any_argv(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                status = main(argv)
+        finally:
+            os.chdir(cwd)
     assert status in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NO_RESULT,
                       EXIT_GATEWAY)

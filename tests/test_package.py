@@ -152,3 +152,37 @@ def test_setup_probe_runs_on_the_shipped_inputs():
     result = _fresh(str(ROOT / "bench" / "setup_probe.py"), *RULES, FACTS)
     timings = json.loads(result.stdout.splitlines()[-1])
     assert timings["import_s"] > 0 and timings["load_s"] > 0
+
+
+# What a frozen dataclass costs at import: dataclasses and the modules it
+# brings in.
+DATACLASS_MODULES = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+@pytest.mark.parametrize(
+    "code, lazy",
+    [
+        ("import lexplain, lexplain.cli", False),
+        (_main(["solve", "--kb", RULES[0], "--kb", RULES[1], "--facts", FACTS,
+                "--person", "mario", "--out", "{out}"]), False),
+        (_main(["compare", "--kb", RULES[0], "--kb", RULES[1], "--facts", FACTS,
+                "--person", "mario", "--source", "directive_2010_64",
+                "--source", "directive_2010_64_pl", "--mock-dir",
+                str(fixtures.resource_path("mock_chain")), "--out", "{out}"]),
+         True),
+    ],
+    ids=["import", "solve", "compare"],
+)
+def test_only_the_lazy_modules_load_dataclasses(tmp_path, code, lazy):
+    # against the modules loaded before, which site may have added to
+    script = (
+        "import json, sys\nbefore = set(sys.modules)\n"
+        f"{code.replace('{out}', str(tmp_path / 'out'))}\n"
+        f"print(json.dumps([[m for m in {DATACLASS_MODULES!r} if m in sys.modules],\n"
+        "                  [m for m in sys.modules if m not in before]]))"
+    )
+    loaded, new = json.loads(_fresh("-c", script).stdout)
+    if lazy:  # chain and evaluation still load dataclasses
+        assert "dataclasses" in loaded
+    else:
+        assert not set(DATACLASS_MODULES) & set(new)
