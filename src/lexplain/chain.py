@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import lru_cache
 from importlib import resources
@@ -23,6 +22,7 @@ from .gateway import (
     LlmConfig,
     _checked,
 )
+from .kb import _Record
 from .trace import TraceDocument
 
 TRANSLATION_TEMPLATE_FILE = "translation_prompt.txt"
@@ -93,21 +93,22 @@ def build_comparison_prompt(expl_a: str, expl_b: str) -> str:
     )
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    prompt: str
-    output: str
-    latency: float
+class ChainStep(_Record):
+    def __init__(self, prompt: str, output: str, latency: float):
+        object.__setattr__(self, "prompt", prompt)
+        object.__setattr__(self, "output", output)
+        object.__setattr__(self, "latency", latency)
 
 
-@dataclass(frozen=True)
-class ChainRun:
+class ChainRun(_Record):
     """One execution of the chain: translate A, translate B, compare."""
 
-    run_index: int
-    config: LlmConfig
-    steps: tuple[ChainStep, ChainStep, ChainStep]
-    created_at: str
+    def __init__(self, run_index: int, config: LlmConfig,
+                 steps: tuple[ChainStep, ChainStep, ChainStep], created_at: str):
+        object.__setattr__(self, "run_index", run_index)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "created_at", created_at)
 
     @property
     def step1_outputs(self) -> tuple[str, str]:
@@ -118,13 +119,14 @@ class ChainRun:
         return self.steps[2].output
 
 
-@dataclass(frozen=True)
-class ChainRunRecord:
+class ChainRunRecord(_Record):
     """Outcome of one repetition: a ChainRun or a recorded failure."""
 
-    run_index: int
-    run: ChainRun | None = None
-    error: str | None = None
+    def __init__(self, run_index: int, run: ChainRun | None = None,
+                 error: str | None = None):
+        object.__setattr__(self, "run_index", run_index)
+        object.__setattr__(self, "run", run)
+        object.__setattr__(self, "error", error)
 
     @property
     def ok(self) -> bool:
@@ -219,8 +221,15 @@ _JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
 _RUN_FIELDS = {
     "run_index": (int,), "config": (dict,), "steps": (list,), "created_at": (str,)
 }
-_STEP_FIELDS = {f.name: _JSON_TYPES[f.type] for f in fields(ChainStep)}
-_CONFIG_FIELDS = {f.name: _JSON_TYPES[f.type] for f in fields(LlmConfig)}
+
+
+def _json_fields(cls) -> dict:
+    types = cls.__init__.__annotations__
+    return {name: _JSON_TYPES[types[name]] for name in cls._fields}
+
+
+_STEP_FIELDS = _json_fields(ChainStep)
+_CONFIG_FIELDS = _json_fields(LlmConfig)
 
 
 def run_from_json(data) -> ChainRun:

@@ -213,8 +213,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from dataclasses import asdict
-
     from .chain import run_repeated, save_run, write_json
     from .evaluation import TRANSLATION_SECTIONS, evaluate, report_to_json, stability
 
@@ -259,7 +257,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     }
     for source_id, reports in reports_by_source.items():
         if len(reports) >= 2:
-            summary["stability"][source_id] = asdict(stability(reports))
+            summary["stability"][source_id] = dict(vars(stability(reports)))
     write_json(out / "stability.json", summary)
     print(out / "stability.json")
     if not any(r.ok for r in records):

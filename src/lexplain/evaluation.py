@@ -12,12 +12,11 @@ not machine-decidable here; reports carry a manual-annotation field instead.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from math import fsum
 from typing import Iterable, Iterator
 
 from .gateway import _checked
-from .kb import ATOM
+from .kb import ATOM, _Record
 from .trace import _S, _TERM_RE, TraceDocument, _canonical_spacing
 
 TRANSLATION_SECTIONS = (
@@ -43,59 +42,67 @@ _RUN_RE = re.compile(
 _PAREN_RE = re.compile(r"[()]")
 
 
-@dataclass(frozen=True)
-class FormResult:
+class FormResult(_Record):
     """Outcome of the section-structure check."""
 
-    sections_found: tuple[str, ...]
-    passed: bool
-    violations: tuple[str, ...]
+    def __init__(self, sections_found: tuple[str, ...], passed: bool,
+                 violations: tuple[str, ...]):
+        object.__setattr__(self, "sections_found", sections_found)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "violations", violations)
 
 
-@dataclass(frozen=True)
-class CompletenessResult:
+class CompletenessResult(_Record):
     """Which required trace terms the output cites."""
 
-    required_terms: tuple[str, ...]
-    cited_terms: tuple[str, ...]
-    missing_terms: tuple[str, ...]
-    coverage: float
+    def __init__(self, required_terms: tuple[str, ...], cited_terms: tuple[str, ...],
+                 missing_terms: tuple[str, ...], coverage: float):
+        object.__setattr__(self, "required_terms", required_terms)
+        object.__setattr__(self, "cited_terms", cited_terms)
+        object.__setattr__(self, "missing_terms", missing_terms)
+        object.__setattr__(self, "coverage", coverage)
 
 
-@dataclass(frozen=True)
-class GroundednessResult:
+class GroundednessResult(_Record):
     """Term-shaped strings in the output that the trace never mentions."""
 
-    hallucinated_terms: tuple[str, ...]
+    def __init__(self, hallucinated_terms: tuple[str, ...]):
+        object.__setattr__(self, "hallucinated_terms", hallucinated_terms)
 
 
-@dataclass(frozen=True)
-class ManualAnnotation:
+class ManualAnnotation(_Record):
     """Juridical validity is assessed by a human, not automated."""
 
-    juridical_pass: bool | None = None
-    notes: str = ""
+    def __init__(self, juridical_pass: bool | None = None, notes: str = ""):
+        object.__setattr__(self, "juridical_pass", juridical_pass)
+        object.__setattr__(self, "notes", notes)
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    form: FormResult
-    completeness: CompletenessResult
-    groundedness: GroundednessResult
-    run_index: int = 0
-    manual: ManualAnnotation = field(default_factory=ManualAnnotation)
+class EvaluationReport(_Record):
+    def __init__(self, form: FormResult, completeness: CompletenessResult,
+                 groundedness: GroundednessResult, run_index: int = 0,
+                 manual: ManualAnnotation = None):  # type: ignore[assignment]
+        object.__setattr__(self, "form", form)
+        object.__setattr__(self, "completeness", completeness)
+        object.__setattr__(self, "groundedness", groundedness)
+        object.__setattr__(self, "run_index", run_index)
+        # None stands for a new ManualAnnotation() on each call
+        object.__setattr__(
+            self, "manual", ManualAnnotation() if manual is None else manual
+        )
 
 
-@dataclass(frozen=True)
-class StabilityResult:
+class StabilityResult(_Record):
     """Aggregate statistics over repeated runs of identical inputs."""
 
-    runs: int
-    form_pass_rate: float
-    coverage_min: float
-    coverage_mean: float
-    coverage_max: float
-    hallucinated_runs: int
+    def __init__(self, runs: int, form_pass_rate: float, coverage_min: float,
+                 coverage_mean: float, coverage_max: float, hallucinated_runs: int):
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "form_pass_rate", form_pass_rate)
+        object.__setattr__(self, "coverage_min", coverage_min)
+        object.__setattr__(self, "coverage_mean", coverage_mean)
+        object.__setattr__(self, "coverage_max", coverage_max)
+        object.__setattr__(self, "hallucinated_runs", hallucinated_runs)
 
 
 # --- form ---------------------------------------------------------------------

@@ -6,7 +6,7 @@ and validated at construction time, so a KnowledgeBase that exists is safe
 to reason over and to share across threads. The engine and the DSL readers
 alone build terms and variables through ``_trusted_term`` and
 ``_trusted_variable``, from parts already checked or read by the atom grammar.
-The records of every eager module derive from ``_Record``.
+Every record of the package derives from ``_Record``.
 """
 
 from __future__ import annotations
@@ -168,6 +168,15 @@ class Term(_Record):
                 continue
             if not isinstance(arg, str) or not is_identifier(arg):
                 raise KbError(f"invalid term argument: {arg!r}")
+
+    # Written out for Term, the record the engine hashes and compares most.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.functor == other.functor and self.args == other.args
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.functor, self.args))
 
     @property
     def arity(self) -> int:

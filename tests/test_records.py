@@ -1,4 +1,5 @@
-"""The records of kb, engine, trace and gateway are plain frozen classes.
+"""The records of kb, engine, trace, gateway, chain and evaluation are plain
+frozen classes.
 They keep the behaviour they had as frozen dataclasses: repr, ==, hash,
 frozen fields, and what the functions of ``dataclasses`` read from them."""
 
@@ -12,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lexplain import fixtures
+from lexplain.chain import ChainRun, ChainRunRecord, ChainStep
 from lexplain.engine import (
     FACT,
     RULE,
@@ -20,6 +22,17 @@ from lexplain.engine import (
     RightsBundle,
     Substitution,
     derive_rights,
+)
+from lexplain.evaluation import (
+    CompletenessResult,
+    EvaluationReport,
+    FormResult,
+    GroundednessResult,
+    ManualAnnotation,
+    StabilityResult,
+    evaluate,
+    report_to_json,
+    stability,
 )
 from lexplain.gateway import LlmConfig, LlmResponse
 from lexplain.kb import (
@@ -38,6 +51,7 @@ from lexplain.trace import (
     TraceError,
     TraceNode,
     TraceSection,
+    parse_trace,
     render_trace,
 )
 
@@ -71,6 +85,27 @@ HEAD_FIELDS = {
                 ("max_tokens", "int"), ("base_url", "str"), ("timeout", "float")],
     LlmResponse: [("text", "str"), ("model_id", "str"), ("latency", "float"),
                   ("prompt_tokens", "int"), ("completion_tokens", "int")],
+    ChainStep: [("prompt", "str"), ("output", "str"), ("latency", "float")],
+    ChainRun: [("run_index", "int"), ("config", "LlmConfig"),
+               ("steps", "tuple[ChainStep, ChainStep, ChainStep]"),
+               ("created_at", "str")],
+    ChainRunRecord: [("run_index", "int"), ("run", "ChainRun | None"),
+                     ("error", "str | None")],
+    FormResult: [("sections_found", "tuple[str, ...]"), ("passed", "bool"),
+                 ("violations", "tuple[str, ...]")],
+    CompletenessResult: [("required_terms", "tuple[str, ...]"),
+                         ("cited_terms", "tuple[str, ...]"),
+                         ("missing_terms", "tuple[str, ...]"),
+                         ("coverage", "float")],
+    GroundednessResult: [("hallucinated_terms", "tuple[str, ...]")],
+    ManualAnnotation: [("juridical_pass", "bool | None"), ("notes", "str")],
+    EvaluationReport: [("form", "FormResult"),
+                       ("completeness", "CompletenessResult"),
+                       ("groundedness", "GroundednessResult"),
+                       ("run_index", "int"), ("manual", "ManualAnnotation")],
+    StabilityResult: [("runs", "int"), ("form_pass_rate", "float"),
+                      ("coverage_min", "float"), ("coverage_mean", "float"),
+                      ("coverage_max", "float"), ("hallucinated_runs", "int")],
 }
 
 # The reference for repr, == and hash: each record declared again as the
@@ -108,6 +143,12 @@ DOC = render_trace(BUNDLE, EU_KB)
 X = Variable("X")
 CLAUSE = Clause(Term("p", (X,)), (Literal(Term("q", (X,))),), LegalSource("s"),
                 "art1", "Article 1")
+LISTING1 = parse_trace(fixtures.resource_text("listing1.trace"))
+REPORT = evaluate(fixtures.resource_text("outputs/translation_eu.txt"), LISTING1,
+                  run_index=2)
+STABILITY = stability([REPORT, evaluate("Summary\n", LISTING1, run_index=3)])
+STEP = ChainStep("prompt", "output", 0.5)
+RUN = ChainRun(0, LlmConfig(), (STEP, STEP, STEP), "2026-01-01T00:00:00+00:00")
 
 # One record of each class, a change to one of its fields, and the repr
 # (or, when long, the digest of the repr) that dataclasses.replace gave.
@@ -144,6 +185,25 @@ REPLACED = {
     LlmResponse: (LlmResponse("text", "m", 0.5), {"prompt_tokens": 3},
                   "LlmResponse(text='text', model_id='m', latency=0.5, "
                   "prompt_tokens=3, completion_tokens=0)"),
+    ChainStep: (STEP, {"latency": 1.5},
+                "ChainStep(prompt='prompt', output='output', latency=1.5)"),
+    ChainRun: (RUN, {"run_index": 1}, "1b495a434c795b72"),
+    ChainRunRecord: (ChainRunRecord(1, error="timeout"), {"run_index": 2},
+                     "ChainRunRecord(run_index=2, run=None, error='timeout')"),
+    FormResult: (REPORT.form, {"passed": False},
+                 "FormResult(sections_found=('Summary', 'What Rights do You Have', "
+                 "'Why do You Have Them'), passed=False, violations=())"),
+    CompletenessResult: (REPORT.completeness, {"coverage": 0.5},
+                         "6523d750845407e9"),
+    GroundednessResult: (REPORT.groundedness, {"hallucinated_terms": ("x(a)",)},
+                         "GroundednessResult(hallucinated_terms=('x(a)',))"),
+    ManualAnnotation: (ManualAnnotation(), {"notes": "checked"},
+                       "ManualAnnotation(juridical_pass=None, notes='checked')"),
+    EvaluationReport: (REPORT, {"run_index": 4}, "020b8e8c209009a9"),
+    StabilityResult: (STABILITY, {"runs": 3},
+                      "StabilityResult(runs=3, form_pass_rate=0.5, coverage_min=0.0, "
+                      "coverage_mean=0.45454545454545453, "
+                      "coverage_max=0.9090909090909091, hallucinated_runs=0)"),
 }
 RECORDS = {cls: record for cls, (record, _, _) in REPLACED.items()}
 IDS = [cls.__name__ for cls in HEAD_FIELDS]
@@ -181,6 +241,13 @@ def test_asdict_gives_what_it_gave_before():
         "term": {"functor": "p", "args": ("a", {"name": "X"})}, "negated": True,
     }
     assert digest(dataclasses.asdict(BUNDLE)) == "22061fffe84bbf7a"
+    assert dataclasses.asdict(STABILITY) == {
+        "runs": 2, "form_pass_rate": 0.5, "coverage_min": 0.0,
+        "coverage_mean": 0.45454545454545453, "coverage_max": 0.9090909090909091,
+        "hallucinated_runs": 0,
+    }
+    assert digest(dataclasses.asdict(REPORT)) == "9c17a653ac67bcb9"
+    assert digest(dataclasses.asdict(RUN)) == "91c29d4573f80d21"
 
 
 @pytest.mark.parametrize(
@@ -265,6 +332,29 @@ def test_a_substitution_is_unhashable_and_gets_a_new_dict():
         hash(Substitution({}))
     first, second = Substitution(), Substitution()
     assert first.bindings == {} and first.bindings is not second.bindings
+
+
+def test_a_report_without_a_manual_block_gets_a_new_default_one():
+    # The one field whose dataclasses.fields entry changed: it shows
+    # default=None, which stands for a new ManualAnnotation(), where the
+    # dataclass showed default_factory=ManualAnnotation.
+    manual = dataclasses.fields(EvaluationReport)[-1]
+    assert manual.default is None
+    assert manual.default_factory is dataclasses.MISSING
+    parts = (REPORT.form, REPORT.completeness, REPORT.groundedness)
+    first, second = EvaluationReport(*parts), EvaluationReport(*parts, manual=None)
+    assert first.manual == second.manual == ManualAnnotation()
+    assert first == second and hash(first) == hash(second)
+    assert report_to_json(second)["manual"] == {"juridical_pass": None, "notes": ""}
+
+
+def test_a_term_hashes_and_compares_as_its_functor_and_args():
+    for term in TERMS:
+        assert hash(term) == hash((term.functor, term.args))
+        assert term == Term(term.functor, term.args)
+        assert term != Term(term.functor + "x", term.args)
+        assert (term == Literal(term)) is False and Literal(term) != term
+        assert term.__eq__(Literal(term)) is NotImplemented
 
 
 @pytest.mark.parametrize("cls", HEAD_FIELDS, ids=IDS)
