@@ -15,7 +15,6 @@ from .engine import (
     NafNonGroundError,
     ProofTree,
     RightsBundle,
-    Substitution,
     UnknownSourceError,
     derive_rights,
     ground_oracle,

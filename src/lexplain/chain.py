@@ -13,9 +13,9 @@ import hashlib
 import json
 from datetime import datetime, timezone
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
+from .fixtures import resource_text
 from .gateway import (
     CompletionClient,
     GatewayError,
@@ -37,17 +37,11 @@ class TemplateIntegrityError(RuntimeError):
     """A shipped prompt template does not match its recorded hash."""
 
 
-def _resource_text(name: str) -> str:
-    return (resources.files("lexplain") / "resources" / name).read_text(
-        encoding="utf-8"
-    )
-
-
 @lru_cache(maxsize=None)
 def _load_template(name: str) -> str:
-    text = _resource_text(name)
+    text = resource_text(name)
     template = text[:-1] if text.endswith("\n") else text
-    recorded = json.loads(_resource_text(_HASH_FILE))[name]
+    recorded = json.loads(resource_text(_HASH_FILE))[name]
     actual = hashlib.sha256(template.encode("utf-8")).hexdigest()
     if actual != recorded:
         raise TemplateIntegrityError(
@@ -67,7 +61,7 @@ def comparison_template() -> str:
 
 
 def template_hashes() -> dict[str, str]:
-    return dict(json.loads(_resource_text(_HASH_FILE)))
+    return dict(json.loads(resource_text(_HASH_FILE)))
 
 
 def build_translation_prompt(trace: TraceDocument) -> str:

@@ -134,10 +134,11 @@ def _load_inputs(args: argparse.Namespace):
     return kb, facts
 
 
-def _make_client(args: argparse.Namespace, cycle: bool) -> CompletionClient:
+def _make_client(args: argparse.Namespace) -> CompletionClient:
     # Offline guarantee: with a mock dir, the live client is never built.
+    # explain makes one completion, so cycling changes nothing it reads.
     if args.mock_dir is not None:
-        return mock_from_dir(args.mock_dir, cycle=cycle)
+        return mock_from_dir(args.mock_dir, cycle=True)
     return HttpCompletionClient()
 
 
@@ -201,7 +202,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     if doc is None:
         print(f"no rights derivable for {args.person}", file=sys.stderr)
         return EXIT_NO_RESULT
-    client = _make_client(args, cycle=False)
+    client = _make_client(args)
     response = client.complete(build_translation_prompt(doc), args.llm)
     report = evaluate(response.text, doc, TRANSLATION_SECTIONS)
     out = _out_dir(args)
@@ -230,7 +231,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             )
             return EXIT_NO_RESULT
         docs.append(doc)
-    client = _make_client(args, cycle=True)
+    client = _make_client(args)
     records = run_repeated(docs[0], docs[1], client, args.llm, args.repetitions)
     out = _out_dir(args)
     reports_by_source: dict[str, list] = {s: [] for s in args.sources}
@@ -268,11 +269,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     from .chain import dumps_json, write_json
-    from .evaluation import TRANSLATION_SECTIONS, check_form, evaluate, report_to_json
+    from .evaluation import TRANSLATION_SECTIONS, _section_heads, evaluate, report_to_json
 
     sections = tuple(args.sections) if args.sections else TRANSLATION_SECTIONS
     try:
-        check_form("", sections)  # a duplicate or empty section is a usage error
+        _section_heads(sections)  # a duplicate or empty section is a usage error
     except ValueError as exc:
         raise UsageError(str(exc))
     for key in ("output_file", "trace_file", "out"):

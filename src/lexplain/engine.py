@@ -72,26 +72,6 @@ class UnknownSourceError(EngineError):
         super().__init__(f"unknown legal source: {source_id}")
 
 
-class Substitution(_Record):
-    """Answer bindings, restricted to the query's own variables."""
-
-    def __init__(self, bindings: dict[str, str] = None):  # type: ignore[assignment]
-        # None stands for a new dict on each call
-        object.__setattr__(self, "bindings", {} if bindings is None else bindings)
-
-    def __getitem__(self, name: str) -> str:
-        return self.bindings[name]
-
-    def get(self, name: str, default: str | None = None) -> str | None:
-        return self.bindings.get(name, default)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.bindings
-
-    def __len__(self) -> int:
-        return len(self.bindings)
-
-
 class ProofTree(_Record):
     """One derivation step: the proved literal and how it was justified.
 
@@ -344,24 +324,26 @@ def _solve_body(
 
 def solve(
     goal: Term, kb: KnowledgeBase, facts: CaseFacts
-) -> list[tuple[Substitution, ProofTree]]:
+) -> list[tuple[dict[str, str], ProofTree]]:
     """Prove a goal, returning one (answer, proof tree) per derivation.
 
-    Results are in deterministic order: facts in canonical order first,
-    then clauses in textual order, body literals left to right. Raises
-    NafNonGroundError if negation is reached with unbound variables and
-    DepthLimitError past ``DEPTH_LIMIT`` rule applications.
+    An answer maps each goal variable the derivation binds to an atom to
+    that atom; a variable left unbound is not in it. Results are in
+    deterministic order: facts in canonical order first, then clauses in
+    textual order, body literals left to right. Raises NafNonGroundError
+    if negation is reached with unbound variables and DepthLimitError past
+    ``DEPTH_LIMIT`` rule applications.
     """
     ctx = _Context(kb, facts)
     names = sorted(goal.variables())
-    results: list[tuple[Substitution, ProofTree]] = []
+    results: list[tuple[dict[str, str], ProofTree]] = []
     for bindings, tree in _solve_term(goal, {}, ctx, 0):
         answer: dict[str, str] = {}
         for name in names:
             value = _walk(bindings.get(name), bindings)  # None when unbound
             if isinstance(value, str):
                 answer[name] = value
-        results.append((Substitution(answer), _resolve_tree(tree, bindings)))
+        results.append((answer, _resolve_tree(tree, bindings)))
     return results
 
 

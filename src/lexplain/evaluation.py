@@ -116,14 +116,9 @@ def _normalize_heading(text: str) -> str:
     return t
 
 
-def check_form(output: str, expected_sections: tuple[str, ...]) -> FormResult:
-    """Verify the expected section headers appear, in order, exactly once.
-
-    Headers are matched case-insensitively at line starts, tolerating
-    leading enumeration markers and trailing colons. Only a line feed ends
-    a line. Failures are results, not errors; ValueError names an expected
-    section that is empty or the same header as an earlier one.
-    """
+def _section_heads(expected_sections: tuple[str, ...]) -> list[tuple[str, str]]:
+    """Each expected section with its normalized header text. ValueError
+    names a section that is empty or the same header as an earlier one."""
     if not expected_sections:
         raise ValueError("expected_sections must be nonempty")
     heads = [
@@ -135,6 +130,18 @@ def check_form(output: str, expected_sections: tuple[str, ...]) -> FormResult:
             raise ValueError(f"expected section {name!r} has no header text")
         if head in (h for _, h in heads[:index]):
             raise ValueError(f"expected section {name!r} repeats an earlier one")
+    return heads
+
+
+def check_form(output: str, expected_sections: tuple[str, ...]) -> FormResult:
+    """Verify the expected section headers appear, in order, exactly once.
+
+    Headers are matched case-insensitively at line starts, tolerating
+    leading enumeration markers and trailing colons. Only a line feed ends
+    a line. Failures are results, not errors; ValueError names an expected
+    section that is empty or the same header as an earlier one.
+    """
+    heads = _section_heads(expected_sections)
     hits: dict[str, list[int]] = {name: [] for name in expected_sections}
     for idx, line in enumerate(output.split("\n")):
         norm = _normalize_heading(line)

@@ -163,6 +163,8 @@ class Term(_Record):
         object.__setattr__(self, "args", args)
         if not is_identifier(functor):
             raise KbError(f"invalid functor: {functor!r}")
+        if functor == "not":  # Literal.negated is the one form of negation
+            raise KbError("'not' is reserved for negation")
         for arg in args:
             if isinstance(arg, Variable):
                 continue
@@ -254,8 +256,6 @@ class Clause(_Record):
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "article", article)
         object.__setattr__(self, "title", title)
-        if head.functor == "not":
-            raise KbError("negation cannot appear in a clause head")
         if not is_identifier(article):
             raise KbError(f"invalid article id: {article!r}")
         if not title:

@@ -265,12 +265,11 @@ def render_document(bundle: TraceBundle) -> str:
 
 def _nodes_from_proof(root: ProofTree) -> tuple[TraceNode, ...]:
     """The tree's lines, built without re-parsing their text: a bundle's
-    trees are ground, and format_literal of a ground literal is canonical.
-    Only the kind check runs, since a term's functor may be ``not``."""
+    trees are ground, format_literal of a ground literal is canonical, and
+    a ProofTree node's kind agrees with its literal's negation."""
     nodes = []
     for depth, proof in root.nodes():
         term = format_literal(proof.literal)
-        _check_kind(term, proof.kind)
         node = object.__new__(TraceNode)
         object.__setattr__(node, "term", term)
         object.__setattr__(node, "kind", proof.kind)

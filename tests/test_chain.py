@@ -68,7 +68,7 @@ def test_translation_template_keeps_original_wording():
 def test_tampered_template_is_rejected(monkeypatch):
     import lexplain.chain as chain_module
 
-    real = chain_module._resource_text
+    real = chain_module.resource_text
 
     def tampered(name):
         text = real(name)
@@ -76,7 +76,7 @@ def test_tampered_template_is_rejected(monkeypatch):
             return text.replace("langaguage", "language")
         return text
 
-    monkeypatch.setattr(chain_module, "_resource_text", tampered)
+    monkeypatch.setattr(chain_module, "resource_text", tampered)
     chain_module._load_template.cache_clear()
     try:
         with pytest.raises(chain_module.TemplateIntegrityError):

@@ -214,6 +214,27 @@ def test_explain_with_eu_mock_reports_missing_inference(workdir):
     )
 
 
+def test_explain_over_the_shipped_mock_dir_writes_its_first_response(workdir):
+    out = workdir / "out"
+    status = main(
+        ["explain", *_common(workdir, "eu.rules"), "--source", "directive_2010_64",
+         "--mock-dir", str(fixtures.mock_chain_dir()), "--out", str(out)]
+    )
+    assert status == EXIT_OK
+    first = (fixtures.mock_chain_dir() / "001.txt").read_text(encoding="utf-8")
+    assert (out / "explanation.txt").read_text(encoding="utf-8") == first
+
+
+def test_explain_over_an_empty_mock_dir_is_status_4(workdir, capsys):
+    (workdir / "empty").mkdir()
+    status = main(
+        ["explain", *_common(workdir, "eu.rules"), "--source", "directive_2010_64",
+         "--mock-dir", str(workdir / "empty"), "--out", str(workdir / "out")]
+    )
+    assert status == EXIT_GATEWAY
+    assert "mock queue exhausted after 0 responses" in capsys.readouterr().err
+
+
 def test_explain_live_without_api_key_is_status_4(workdir, monkeypatch, capsys):
     monkeypatch.delenv("LLM_API_KEY", raising=False)
     status = main(

@@ -23,7 +23,6 @@ from lexplain.engine import (
     EngineError,
     NafNonGroundError,
     ProofTree,
-    Substitution,
     UnknownSourceError,
     derive_rights,
     ground_oracle,
@@ -158,7 +157,7 @@ def test_goal_variables_cannot_alias_renamed_clause_variables():
     )
     facts = parse_facts("s(a, b).\n")
     ((answer, tree),) = solve(Term("r", (V("P"), V("B"))), kb, facts)
-    assert answer.bindings == {"P": "a", "B": "b"}
+    assert answer == {"P": "a", "B": "b"}
     assert format_term(tree.literal.term) == "r(a, b)"
     for name in ("_1_X", "_ x)(", "_", "_X"):
         with pytest.raises(KbError, match="invalid variable name"):
@@ -176,8 +175,8 @@ def test_fact_solutions_come_before_rule_solutions():
 
 
 def test_substitution_restricted_to_query_variables(eu_kb, mario_facts):
-    subst, _ = solve(goal_has_right("mario"), eu_kb, mario_facts)[0]
-    assert set(subst.bindings) == {"A", "O"}
+    answer, _ = solve(goal_has_right("mario"), eu_kb, mario_facts)[0]
+    assert type(answer) is dict and set(answer) == {"A", "O"}
 
 
 def test_derive_rights_eu_bundle(eu_kb, mario_facts):
@@ -494,7 +493,7 @@ def test_tree_names_a_variable_first_met_in_a_later_literal():
     ((answer, tree),) = solve(
         Term("p", (V("G"),)), kb, parse_facts("s(a).\n")
     )
-    assert answer.bindings == {"G": "a"}
+    assert answer == {"G": "a"}
     assert [format_term(n.literal.term) for _, n in tree.nodes()] == [
         "p(a)", "s(a)", "t(a, _2_Z)",
     ]
@@ -646,7 +645,7 @@ def _ref_solve(goal, kb, facts):
             value = _ref_walk(Variable(name), bindings)
             if isinstance(value, str):
                 answer[name] = value
-        results.append((Substitution(answer), _ref_resolve_tree(tree, bindings)))
+        results.append((answer, _ref_resolve_tree(tree, bindings)))
     return results
 
 

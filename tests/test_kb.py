@@ -71,6 +71,14 @@ def test_clause_formatting_round_trips_structure():
     assert format_clause(c) == "p(X) :- q(X), not(r(X))."
 
 
+def test_only_a_negated_literal_is_a_negation():
+    # Term rejects the functor not, so Literal.negated is negation's one form
+    for args in ((), ("p",)):
+        with pytest.raises(KbError, match="'not' is reserved for negation"):
+            Term("not", args)
+    assert format_literal(Literal(Term("p"), negated=True)) == "not(p)"
+
+
 def test_clause_head_cannot_be_negation():
     with pytest.raises(KbError):
         clause(Term("not", ("p",)))

@@ -30,7 +30,7 @@ EXPORTS = {
     "dsl": ("DslError", "parse_facts", "parse_rules", "serialize_facts",
             "serialize_rules"),
     "engine": ("FACT", "NAF", "RULE", "DepthLimitError", "EngineError",
-               "NafNonGroundError", "ProofTree", "RightsBundle", "Substitution",
+               "NafNonGroundError", "ProofTree", "RightsBundle",
                "UnknownSourceError", "derive_rights", "ground_oracle", "solve"),
     "evaluation": ("COMPARISON_SECTIONS", "TRANSLATION_SECTIONS",
                    "CompletenessResult", "EvaluationReport", "FormResult",
@@ -145,6 +145,15 @@ def test_an_unknown_name_is_an_attribute_error():
 )
 def test_a_run_loads_only_what_it_uses(tmp_path, code, loaded):
     assert _loaded_after(code.replace("{out}", str(tmp_path / "out"))) == loaded
+
+
+def test_the_readme_quickstart_runs():
+    # the first python block under the heading, run as a reader would
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    result = _fresh("-c", code + "print(report.completeness.coverage)\n")
+    assert round(float(result.stdout), 3) == 0.909
 
 
 def test_setup_probe_runs_on_the_shipped_inputs():

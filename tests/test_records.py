@@ -20,7 +20,6 @@ from lexplain.engine import (
     EngineError,
     ProofTree,
     RightsBundle,
-    Substitution,
     derive_rights,
 )
 from lexplain.evaluation import (
@@ -66,7 +65,6 @@ HEAD_FIELDS = {
              ("source", "LegalSource"), ("article", "str"), ("title", "str")],
     KnowledgeBase: [("clauses", "tuple[Clause, ...]")],
     CaseFacts: [("facts", "frozenset[Term]")],
-    Substitution: [("bindings", "dict[str, str]")],
     ProofTree: [("literal", "Literal"), ("kind", "str"),
                 ("article", "str | None"),
                 ("children", "tuple['ProofTree', ...]")],
@@ -165,8 +163,6 @@ REPLACED = {
                     "KnowledgeBase(clauses=())"),
     CaseFacts: (CaseFacts(frozenset({Term("q", ("a",))})),
                 {"facts": frozenset()}, "CaseFacts(facts=frozenset())"),
-    Substitution: (Substitution({"X": "a"}), {"bindings": {"X": "b"}},
-                   "Substitution(bindings={'X': 'b'})"),
     ProofTree: (ProofTree(Literal(Term("q", ("a",))), FACT, None),
                 {"literal": Literal(Term("q", ("b",)))},
                 "ProofTree(literal=Literal(term=Term(functor='q', args=('b',)), "
@@ -319,19 +315,7 @@ def test_each_record_behaves_as_the_dataclass(cls):
     assert record == type(record)(*(getattr(record, f) for f, _ in HEAD_FIELDS[cls]))
     assert (record == other) is (copy == as_dataclass(other)) is False
     assert record != copy and record.__eq__(copy) is NotImplemented
-    if cls is Substitution:
-        for unhashable in (record, copy):
-            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
-                hash(unhashable)
-    else:
-        assert hash(record) == hash(copy)
-
-
-def test_a_substitution_is_unhashable_and_gets_a_new_dict():
-    with pytest.raises(TypeError):
-        hash(Substitution({}))
-    first, second = Substitution(), Substitution()
-    assert first.bindings == {} and first.bindings is not second.bindings
+    assert hash(record) == hash(copy)
 
 
 def test_a_report_without_a_manual_block_gets_a_new_default_one():
