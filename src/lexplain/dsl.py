@@ -9,7 +9,6 @@ marking negation as failure. Facts files hold one ground term per line.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .kb import (
     ATOM,
@@ -20,6 +19,7 @@ from .kb import (
     Literal,
     Term,
     Variable,
+    _ATOM_RE,
     _excerpt,
     _trusted_term,
     _trusted_variable,
@@ -41,7 +41,6 @@ _B = r"[ \t\r]*"
 _FACT_LINE_RE = re.compile(
     rf"{_B}({ATOM}){_B}(?:\({_B}({ATOM}(?:{_B},{_B}{ATOM})*){_B}\){_B})?\.{_B}(?:%.*)?"
 )
-_ATOM_RE = re.compile(ATOM)
 
 _METADATA_KEYS = ("source", "jurisdiction", "article", "title")
 
@@ -56,21 +55,19 @@ class DslError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-class _Token(NamedTuple):
-    kind: str  # IDENT, VAR, LPAREN, RPAREN, COMMA, DOT, IMPLIES
-    value: str
-    line: int
-    col: int
+# A token is (kind, value, line, col); kind is IDENT, VAR, LPAREN, RPAREN,
+# COMMA, DOT or IMPLIES.
+_Token = tuple[str, str, int, int]
 
 
 def _tokenize_line(text: str, line_no: int, out: list[_Token]) -> None:
     for match in _TOKEN_RE.finditer(text):
         group, value, col = match.lastindex, match.group(), match.start() + 1
         if group == 2:
-            out.append(_Token(_PUNCT_KINDS[value], value, line_no, col))
+            out.append((_PUNCT_KINDS[value], value, line_no, col))
         elif group == 3:
             kind = "VAR" if value[0].isupper() else "IDENT"
-            out.append(_Token(kind, value, line_no, col))
+            out.append((kind, value, line_no, col))
         elif group == 4:
             raise DslError(f"unexpected character {value!r}", line_no, col)
         else:
@@ -86,17 +83,14 @@ class _TokenStream:
         try:
             return self._tokens[self._pos]
         except IndexError:
-            last = self._tokens[-1]
-            raise DslError("unexpected end of line", last.line, last.col) from None
+            _, _, line, col = self._tokens[-1]
+            raise DslError("unexpected end of line", line, col) from None
 
     def next(self, expected: str | None = None) -> _Token:
         token = self.peek()
-        if expected is not None and token.kind != expected:
-            raise DslError(
-                f"expected {expected}, found {_excerpt(token.value)}",
-                token.line,
-                token.col,
-            )
+        if expected is not None and token[0] != expected:
+            _, value, line, col = token
+            raise DslError(f"expected {expected}, found {_excerpt(value)}", line, col)
         self._pos += 1
         return token
 
@@ -110,49 +104,42 @@ def _parse_list(stream: _TokenStream, parse_item, close: str) -> tuple:
     items = []
     while True:
         items.append(parse_item(stream))
-        sep = stream.next()
-        if sep.value == close:
+        kind, value, line, col = stream.next()
+        if value == close:
             return tuple(items)
-        if sep.kind != "COMMA":
+        if kind != "COMMA":
             raise DslError(
-                f"expected ',' or {close!r}, found {_excerpt(sep.value)}",
-                sep.line,
-                sep.col,
+                f"expected ',' or {close!r}, found {_excerpt(value)}", line, col
             )
 
 
 def _parse_arg(stream: _TokenStream) -> str | Variable:
-    arg = stream.next()
-    if arg.kind == "VAR":
-        return _trusted_variable(arg.value)
-    if arg.kind != "IDENT":
+    kind, value, line, col = stream.next()
+    if kind == "VAR":
+        return _trusted_variable(value)
+    if kind != "IDENT":
         raise DslError(
-            f"expected an atom or variable, found {_excerpt(arg.value)}",
-            arg.line,
-            arg.col,
+            f"expected an atom or variable, found {_excerpt(value)}", line, col
         )
-    if not stream.exhausted and stream.peek().kind == "LPAREN":
+    if not stream.exhausted and stream.peek()[0] == "LPAREN":
         raise DslError(
-            "nested terms are not supported (function-free fragment)",
-            arg.line,
-            arg.col,
+            "nested terms are not supported (function-free fragment)", line, col
         )
-    return arg.value
+    return value
 
 
 def _parse_term(stream: _TokenStream) -> Term:
-    tok = stream.next("IDENT")
-    if tok.value == "not":
-        raise DslError("'not' is reserved for negation", tok.line, tok.col)
-    if stream.exhausted or stream.peek().kind != "LPAREN":
-        return _trusted_term(tok.value, ())
+    _, functor, line, col = stream.next("IDENT")
+    if functor == "not":
+        raise DslError("'not' is reserved for negation", line, col)
+    if stream.exhausted or stream.peek()[0] != "LPAREN":
+        return _trusted_term(functor, ())
     stream.next("LPAREN")
-    return _trusted_term(tok.value, _parse_list(stream, _parse_arg, ")"))
+    return _trusted_term(functor, _parse_list(stream, _parse_arg, ")"))
 
 
 def _parse_literal(stream: _TokenStream) -> Literal:
-    tok = stream.peek()
-    if tok.kind == "IDENT" and tok.value == "not":
+    if stream.peek()[:2] == ("IDENT", "not"):
         stream.next()
         stream.next("LPAREN")
         term = _parse_term(stream)
@@ -166,26 +153,20 @@ def _parse_clause(
 ) -> Clause:
     for key in ("source", "article", "title"):
         if key not in meta:
-            raise DslError(f"clause before any %% {key} line", tokens[0].line)
+            raise DslError(f"clause before any %% {key} line", tokens[0][2])
     source = LegalSource(meta["source"], labels.get(meta["source"], ""))
     stream = _TokenStream(tokens)
-    head_tok = stream.peek()
-    if head_tok.kind == "IDENT" and head_tok.value == "not":
-        raise DslError(
-            "negation cannot appear in a clause head",
-            head_tok.line,
-            head_tok.col,
-        )
+    kind, value, line, col = stream.peek()
+    if kind == "IDENT" and value == "not":
+        raise DslError("negation cannot appear in a clause head", line, col)
     head = _parse_term(stream)
-    tok = stream.next()
-    if tok.kind == "IMPLIES":
+    kind, value, line, col = stream.next()
+    if kind == "IMPLIES":
         body = _parse_list(stream, _parse_literal, ".")
-    elif tok.kind == "DOT":
+    elif kind == "DOT":
         body = ()
     else:
-        raise DslError(
-            f"expected ':-' or '.', found {_excerpt(tok.value)}", tok.line, tok.col
-        )
+        raise DslError(f"expected ':-' or '.', found {_excerpt(value)}", line, col)
     return Clause(head, body, source, meta["article"], meta["title"])
 
 
@@ -242,12 +223,12 @@ def parse_rules(text: str) -> KnowledgeBase:
         _tokenize_line(line, line_no, tokens)
         for token in tokens:
             clause.append(token)
-            if token.kind == "DOT":
+            if token[0] == "DOT":
                 clauses.append(_parse_clause(clause, meta, labels))
                 clause = []
     if clause:
-        last = clause[-1]
-        raise DslError("unterminated clause (missing '.')", last.line, last.col)
+        _, _, line, col = clause[-1]
+        raise DslError("unterminated clause (missing '.')", line, col)
     return KnowledgeBase(tuple(clauses))
 
 
@@ -268,11 +249,9 @@ def parse_facts(text: str) -> CaseFacts:
         term = _parse_term(stream)
         stream.next("DOT")
         if not stream.exhausted:
-            extra = stream.peek()
+            _, value, line, col = stream.peek()
             raise DslError(
-                f"unexpected input after fact: {_excerpt(extra.value)}",
-                extra.line,
-                extra.col,
+                f"unexpected input after fact: {_excerpt(value)}", line, col
             )
         raise DslError(
             f"non-ground fact {_excerpt(format_term(term), str)} "

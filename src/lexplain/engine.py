@@ -41,6 +41,7 @@ DEPTH_LIMIT = 64
 
 _Value = Union[str, Variable]
 _Bindings = Mapping[str, _Value]
+_Node = tuple  # (term, kind, article, children): a proof node not yet built
 
 
 class EngineError(Exception):
@@ -100,10 +101,12 @@ class ProofTree(_Record):
                 raise EngineError(f"{kind} node with a {wrong} literal")
         else:
             raise EngineError(f"unknown node kind: {kind!r}")
+        ground = literal.term.is_ground and all(c._ground for c in children)
+        object.__setattr__(self, "_ground", ground)
 
     @property
     def is_ground(self) -> bool:
-        return all(n.literal.term.is_ground for _, n in self.nodes())
+        return self._ground  # type: ignore[attr-defined]
 
     @property
     def has_naf(self) -> bool:
@@ -180,17 +183,18 @@ def _walk(value: _Value, bindings: _Bindings) -> _Value:
 
 def _resolve_term(term: Term, bindings: _Bindings) -> Term:
     # bindings map names to arguments of checked terms
-    args = tuple([_walk(a, bindings) if isinstance(a, Variable) else a
-                  for a in term.args])
+    args = tuple([_walk(a, bindings) for a in term.args])
     return _trusted_term(term.functor, args)
 
 
-def _resolve_tree(tree: ProofTree, bindings: _Bindings) -> ProofTree:
-    if tree.kind != RULE:
-        return tree  # FACT and NAF leaves are ground when they are built
-    literal = Literal(_resolve_term(tree.literal.term, bindings))  # never negated
-    children = tuple(_resolve_tree(c, bindings) for c in tree.children)
-    return ProofTree(literal, tree.kind, tree.article, children)
+def _build_tree(node: _Node, bindings: _Bindings) -> ProofTree:
+    """The one builder of proof trees: a kept node with its RULE terms
+    resolved through the answer's bindings (FACT and NAF terms are ground)."""
+    term, kind, article, children = node
+    if kind == RULE:
+        term = _resolve_term(term, bindings)
+    built = tuple([_build_tree(c, bindings) for c in children])
+    return ProofTree(Literal(term, kind == NAF), kind, article, built)
 
 
 def _match_head(
@@ -252,12 +256,12 @@ class _Context:
 
 def _solve_term(
     target: Term, bindings: dict, ctx: _Context, depth: int
-) -> Iterator[tuple[dict, ProofTree]]:
+) -> Iterator[tuple[dict, _Node]]:
     """Prove target, a goal already resolved through bindings."""
     for fact in ctx.facts.candidates(target):
         matched = _match_head(target, fact, bindings, 0)
         if matched is not None:
-            yield matched[1], ProofTree(Literal(fact), FACT, None)
+            yield matched[1], (fact, FACT, None, ())
     for clause in ctx.kb.clauses_for(target.predicate):
         ctx.tried += 1
         tag = ctx.tried
@@ -271,20 +275,18 @@ def _solve_term(
             )
         body = _solve_body(clause.body, values, tag, unified, ctx, depth + 1)
         for final, children in body:
-            yield final, ProofTree(
-                Literal(target), RULE, clause.article, children
-            )
+            yield final, (target, RULE, clause.article, children)
 
 
 def _solve_literal(
     subgoal: Term, bindings: dict, ctx: _Context, depth: int
-) -> Iterator[tuple[dict, ProofTree]]:
+) -> Iterator[tuple[dict, _Node]]:
     """Negation as failure on the resolved subgoal of a negated literal."""
     if not subgoal.is_ground:
         raise NafNonGroundError(Literal(subgoal, negated=True))
     for _ in _solve_term(subgoal, {}, ctx, depth):
         return  # subgoal provable: negation fails
-    yield bindings, ProofTree(Literal(subgoal, negated=True), NAF, None)
+    yield bindings, (subgoal, NAF, None, ())
 
 
 def _solve_body(
@@ -294,7 +296,7 @@ def _solve_body(
     bindings: dict,
     ctx: _Context,
     depth: int,
-) -> Iterator[tuple[dict, tuple[ProofTree, ...]]]:
+) -> Iterator[tuple[dict, tuple[_Node, ...]]]:
     """Prove the body of the clause tagged tag left to right with one open
     iterator per literal entered, so a body of any length fits in a bounded
     Python stack. Each literal is built as it is entered."""
@@ -309,7 +311,7 @@ def _solve_body(
         yield bindings, ()
         return
     iterators = [enter(body[0], bindings)]
-    proofs: list[ProofTree] = []  # one per literal before the last iterator's
+    proofs: list[_Node] = []  # one per literal before the last iterator's
     while iterators:
         step = next(iterators[-1], None)
         del proofs[len(iterators) - 1 :]
@@ -337,13 +339,13 @@ def solve(
     ctx = _Context(kb, facts)
     names = sorted(goal.variables())
     results: list[tuple[dict[str, str], ProofTree]] = []
-    for bindings, tree in _solve_term(goal, {}, ctx, 0):
+    for bindings, node in _solve_term(goal, {}, ctx, 0):
         answer: dict[str, str] = {}
         for name in names:
             value = _walk(bindings.get(name), bindings)  # None when unbound
             if isinstance(value, str):
                 answer[name] = value
-        results.append((answer, _resolve_tree(tree, bindings)))
+        results.append((answer, _build_tree(node, bindings)))
     return results
 
 
@@ -360,7 +362,7 @@ def _first_proofs(
 # derive_rights builds its goals from these variables and from atoms already
 # checked: the person by is_identifier, the article in a checked proof tree.
 _RIGHT, _TAG, _ARTICLE, _OPTION, _A, _K, _V = map(
-    Variable, ("Right", "Tag", "Article", "Option", "A", "K", "V")
+    _trusted_variable, ("Right", "Tag", "Article", "Option", "A", "K", "V")
 )
 
 
@@ -380,12 +382,9 @@ def derive_rights(
     )
     bundles: list[RightsBundle] = []
     for tree in _first_proofs(goal, scoped, facts):
-        article = tree.literal.term.args[2]
-        if not isinstance(article, str):
-            raise EngineError(
-                f"non-ground primary conclusion: {tree.literal.term}"
-            )
-        attached = (_A, article, person, _K, _V)
+        if not tree.is_ground:  # its article would be no atom to attach to
+            raise EngineError("primary proof tree is not ground")
+        attached = (_A, tree.literal.term.args[2], person, _K, _V)
         bundles.append(
             RightsBundle(
                 source=source,

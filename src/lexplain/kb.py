@@ -17,8 +17,8 @@ from typing import Iterable, Union
 
 # The atom grammar; every regex that reads an atom is built from it.
 ATOM = r"[a-z][A-Za-z0-9_]*"
-_IDENT_RE = re.compile(ATOM + r"\Z")
-_VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
+_ATOM_RE = re.compile(ATOM)
+_VAR_RE = re.compile(r"[A-Z][A-Za-z0-9_]*")
 
 
 class KbError(ValueError):
@@ -55,11 +55,11 @@ def _excerpt(text: str, quote=repr) -> str:
 
 
 def is_identifier(text: str) -> bool:
-    return bool(_IDENT_RE.match(text))
+    return bool(_ATOM_RE.fullmatch(text))
 
 
 def is_variable_name(text: str) -> bool:
-    return bool(_VAR_RE.match(text))
+    return bool(_VAR_RE.fullmatch(text))
 
 
 class _DataclassFields:

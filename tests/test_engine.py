@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import sys
 import threading
 
@@ -136,6 +137,20 @@ def test_proof_tree_checks_its_node_when_built(
     with pytest.raises(EngineError) as err:
         ProofTree(literal, kind, article, children)
     assert str(err.value) == message
+
+
+def _no_walk(tree):
+    raise AssertionError("a proof tree was walked")
+
+
+def test_proof_tree_records_groundness_when_built(monkeypatch):
+    open_literal = Literal(Term("p", (V("X"),)))
+    open_leaf = ProofTree(open_literal, FACT, None)
+    monkeypatch.setattr(ProofTree, "nodes", _no_walk)
+    assert LEAF.is_ground and not open_leaf.is_ground
+    assert ProofTree(POSITIVE, RULE, "a", (LEAF, LEAF)).is_ground
+    assert not ProofTree(POSITIVE, RULE, "a", (LEAF, open_leaf)).is_ground
+    assert not dataclasses.replace(LEAF, literal=open_literal).is_ground
 
 
 def test_depth_limit_fails_loudly():
@@ -337,6 +352,35 @@ def test_repeated_derive_rights_reuses_the_scoped_kb(monkeypatch, mario_facts):
     again = derive_rights("mario", "directive_2010_64", kb, mario_facts)
     assert len(calls) == 1
     assert again == first
+
+
+@pytest.mark.parametrize(
+    "source_id, nodes", [("directive_2010_64", 11), ("directive_2010_64_pl", 8)]
+)
+def test_derive_rights_builds_each_kept_node_once_and_walks_none(
+    monkeypatch, mario_facts, source_id, nodes
+):
+    kb = merge([fixtures.eu_kb(), fixtures.pl_kb()])
+    built = []
+    real = ProofTree.__init__
+
+    @functools.wraps(real)
+    def counting(self, *args):
+        built.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(ProofTree, "__init__", counting)
+    monkeypatch.setattr(ProofTree, "nodes", _no_walk)
+    bundles = derive_rights("mario", source_id, kb, mario_facts)
+    monkeypatch.undo()
+    kept = [
+        node
+        for b in bundles
+        for tree in (b.primary, *b.auxiliaries, *b.properties)
+        for _, node in tree.nodes()
+    ]
+    assert len(built) == len(kept) == nodes
+    assert {id(n) for n in built} == {id(n) for n in kept}
 
 
 def test_restricted_to_is_memoized_and_equals_a_fresh_build():
