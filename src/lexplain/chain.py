@@ -150,32 +150,21 @@ def run_chain(
     """Exactly three completions: step 1 on each trace, step 2 on the
     two step-1 outputs (never on the raw traces)."""
     created_at = datetime.now(timezone.utc).isoformat()
-    outputs: list[str] = []
     steps: list[ChainStep] = []
-    for step_no, prompt in (
-        (1, build_translation_prompt(trace_a)),
-        (1, build_translation_prompt(trace_b)),
-    ):
+
+    def step(step_no: int, prompt: str) -> str:
         try:
             response = client.complete(prompt, config)
         except GatewayError as exc:
-            raise ChainStepError(step_no, exc, tuple(outputs)) from exc
-        outputs.append(response.text)
+            done = tuple(s.output for s in steps)
+            raise ChainStepError(step_no, exc, done) from exc
         steps.append(ChainStep(prompt, response.text, response.latency))
-    comparison_prompt = build_comparison_prompt(outputs[0], outputs[1])
-    try:
-        response = client.complete(comparison_prompt, config)
-    except GatewayError as exc:
-        raise ChainStepError(2, exc, tuple(outputs)) from exc
-    steps.append(
-        ChainStep(comparison_prompt, response.text, response.latency)
-    )
-    return ChainRun(
-        run_index=run_index,
-        config=config,
-        steps=(steps[0], steps[1], steps[2]),
-        created_at=created_at,
-    )
+        return response.text
+
+    prompts = (build_translation_prompt(trace_a), build_translation_prompt(trace_b))
+    outputs = [step(1, prompt) for prompt in prompts]
+    step(2, build_comparison_prompt(*outputs))
+    return ChainRun(run_index, config, tuple(steps), created_at)  # type: ignore[arg-type]
 
 
 def run_repeated(

@@ -98,7 +98,11 @@ def _resolve(args: argparse.Namespace) -> None:
         except ValueError as exc:
             raise UsageError(str(exc))
         # a number setting is a float, as argparse type=float reads the flag
-        data.update((k, float(data[k])) for k, t in types.items() if float in t)
+        for key in (k for k, t in types.items() if float in t):
+            try:
+                data[key] = float(data[key])
+            except OverflowError:  # an integer of 310 digits or more
+                raise UsageError(f"config file field {key!r} is too large")
     defaults = {"kb": [], "sources": [], "repetitions": 1, "out": "out"}
     for key in _SETTINGS:
         if getattr(args, key, None) is None:

@@ -23,10 +23,6 @@ def resource_path(name: str) -> Path:
     return Path(str(_resource(name)))
 
 
-EU_SOURCE_ID = "directive_2010_64"
-PL_SOURCE_ID = "directive_2010_64_pl"
-
-
 def eu_rules_text() -> str:
     return resource_text("directive_2010_64.rules")
 

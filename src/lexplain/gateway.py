@@ -81,8 +81,11 @@ class LlmConfig(_Record):
             raise ValueError("max_tokens must be positive")
         if not base_url:
             raise ValueError("base_url must be nonempty")
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < timeout <= threading.TIMEOUT_MAX:  # NaN fails it too
+            raise ValueError(
+                f"timeout must be positive and at most {threading.TIMEOUT_MAX} s, "
+                f"got {timeout}"
+            )
 
 
 class LlmResponse(_Record):
@@ -240,7 +243,6 @@ class MockCompletionClient:
     def __init__(self, responses: Sequence[str], cycle: bool = False):
         self._responses = list(responses)
         self._cycle = cycle
-        self._cursor = 0
         self._lock = threading.Lock()
         self._prompts: list[str] = []
 
@@ -258,16 +260,12 @@ class MockCompletionClient:
     def complete(self, prompt: str, config: LlmConfig) -> LlmResponse:
         _require_prompt(prompt)
         with self._lock:
-            if self._cursor >= len(self._responses):
-                if self._cycle and self._responses:
-                    self._cursor = 0
-                else:
-                    raise MockExhaustedError(
-                        f"mock queue exhausted after "
-                        f"{len(self._responses)} responses"
-                    )
-            text = self._responses[self._cursor]
-            self._cursor += 1
+            count = len(self._prompts)
+            if count >= len(self._responses) and not (self._cycle and self._responses):
+                raise MockExhaustedError(
+                    f"mock queue exhausted after {len(self._responses)} responses"
+                )
+            text = self._responses[count % len(self._responses)]
             self._prompts.append(prompt)
         if not text:
             raise BackendError("mock response file is empty")

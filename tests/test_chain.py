@@ -31,7 +31,13 @@ from lexplain.chain import (
     translation_template,
     write_json,
 )
-from lexplain.gateway import LlmConfig, MockCompletionClient, mock_from_dir
+from lexplain.gateway import (
+    BackendError,
+    LlmConfig,
+    MockCompletionClient,
+    MockExhaustedError,
+    mock_from_dir,
+)
 
 CFG = LlmConfig()
 
@@ -137,17 +143,30 @@ def test_step2_sees_outputs_not_traces(listing1_doc, listing2_doc):
     assert listing2_doc.raw_text not in step2_prompt
 
 
-def test_chain_failure_annotated_with_step(listing1_doc, listing2_doc):
-    client = MockCompletionClient(
-        [fixtures.translation_output_eu(), fixtures.translation_output_pl()]
-    )
-    with pytest.raises(ChainStepError) as err:
-        run_chain(listing1_doc, listing2_doc, client, CFG)
-    assert err.value.step == 2
-    assert err.value.completed_outputs == (
+@pytest.mark.parametrize(
+    "failing_call, step",
+    [(1, 1), (2, 1), (3, 2), (None, 2)],
+    ids=["empty_call_1", "empty_call_2", "empty_call_3", "exhausted"],
+)
+def test_chain_failure_annotated_with_step(
+    listing1_doc, listing2_doc, failing_call, step
+):
+    outputs = [
         fixtures.translation_output_eu(),
         fixtures.translation_output_pl(),
-    )
+        fixtures.comparison_output(),
+    ]
+    if failing_call is None:  # the queue runs out at the third call
+        responses, cause, done = outputs[:2], MockExhaustedError, 2
+    else:  # an empty mock response is a BackendError
+        responses, cause, done = list(outputs), BackendError, failing_call - 1
+        responses[failing_call - 1] = ""
+    client = MockCompletionClient(responses)
+    with pytest.raises(ChainStepError) as err:
+        run_chain(listing1_doc, listing2_doc, client, CFG)
+    assert err.value.step == step
+    assert type(err.value.cause) is cause
+    assert err.value.completed_outputs == tuple(outputs[:done])
 
 
 def test_run_repeated_indexes_runs(listing1_doc, listing2_doc):

@@ -710,6 +710,20 @@ def test_config_file_names_a_mistyped_field_and_its_type(workdir, capsys):
     assert "config file field 'temperature' is of type str" in err
 
 
+@pytest.mark.parametrize("key", ["temperature", "timeout"])
+def test_config_file_number_too_large_for_a_float_is_a_usage_error(
+    workdir, capsys, key
+):
+    (workdir / "c.json").write_text(
+        f'{{"{key}": 1{"0" * 400}}}', encoding="utf-8"
+    )
+    argv = ["solve", *_common(workdir, "eu.rules"),
+            "--config", str(workdir / "c.json")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == f"usage error: config file field '{key}' is too large\n"
+
+
 @pytest.mark.parametrize(
     "text",
     ["{not json", "[" * 200_000, '{"repetitions": ' + "9" * 5000 + "}"],

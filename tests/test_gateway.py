@@ -45,6 +45,9 @@ def test_config_defaults_follow_documented_assumptions():
         {"timeout": 0},
         {"model_id": ""},
         {"base_url": ""},
+        {"timeout": float("nan")},
+        {"timeout": float("inf")},
+        {"timeout": 1e10},
     ],
 )
 def test_config_validation(kwargs):
@@ -59,6 +62,17 @@ def test_mock_dequeues_in_order_and_records_prompts():
     assert client.prompts == ["p1", "p2"]
     with pytest.raises(MockExhaustedError):
         client.complete("p3", CFG)
+
+
+def test_mock_serves_the_response_at_the_number_of_prompts_recorded():
+    client = MockCompletionClient(["", "b"])
+    with pytest.raises(BackendError, match="mock response file is empty"):
+        client.complete("p1", CFG)
+    assert client.complete("p2", CFG).text == "b"
+    with pytest.raises(MockExhaustedError, match="exhausted after 2 responses"):
+        client.complete("p3", CFG)
+    assert client.prompts == ["p1", "p2"]
+    assert client.calls == 2
 
 
 def test_mock_rejects_empty_prompt():

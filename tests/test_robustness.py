@@ -139,11 +139,12 @@ _CONFIG = {
     "model": "gpt-4", "temperature": 0.5, "max_tokens": 100, "timeout": 5,
 }
 # JSON texts of values of every type, numbers far beyond any setting's
-# range (one too long for int()), and values nested deep in arrays.
+# range (one too long for int(), one too large for float()), and values
+# nested deep in arrays.
 _WRONG_TYPES = ("null", "true", "0", "-1", "2.5", '"x"', '""', "[]", "{}",
                 '["x"]', "[1]", '{"a": 1}')
-_HUGE = ("9" * 5000, "1" + "0" * 300, "-" + "9" * 40, "1e999", "-1e999",
-         "1e-999", "NaN", "Infinity")
+_HUGE = ("9" * 5000, "1" + "0" * 300, "1" + "0" * 400, "-" + "9" * 40,
+         "1e999", "-1e999", "1e-999", "NaN", "Infinity")
 _NESTED = tuple("[" * n + '"x"' + "]" * n for n in (2, 500, 100_000))
 
 
