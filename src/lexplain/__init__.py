@@ -12,6 +12,7 @@ from .engine import (
     RULE,
     DepthLimitError,
     EngineError,
+    GoalLimitError,
     NafNonGroundError,
     ProofTree,
     RightsBundle,

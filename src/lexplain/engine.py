@@ -26,6 +26,7 @@ from .kb import (
     Term,
     Variable,
     _Record,
+    _excerpt,
     _trusted_term,
     _trusted_variable,
     format_literal,
@@ -38,6 +39,7 @@ FACT = "FACT"
 NAF = "NAF"
 
 DEPTH_LIMIT = 64
+GOAL_LIMIT = 10_000
 
 _Value = Union[str, Variable]
 _Bindings = Mapping[str, _Value]
@@ -65,6 +67,14 @@ class DepthLimitError(EngineError):
         self.goal = goal
         self.limit = limit
         super().__init__(f"depth limit {limit} exceeded while proving {goal}")
+
+
+class GoalLimitError(EngineError):
+    """A solve call entered more goals than its goal limit."""
+
+    def __init__(self, goal: str, limit: int):
+        self.goal, self.limit = goal, limit
+        super().__init__(f"goal limit {limit} exceeded at {_excerpt(goal, str)}")
 
 
 class UnknownSourceError(EngineError):
@@ -107,10 +117,6 @@ class ProofTree(_Record):
     @property
     def is_ground(self) -> bool:
         return self._ground  # type: ignore[attr-defined]
-
-    @property
-    def has_naf(self) -> bool:
-        return any(n.kind == NAF for _, n in self.nodes())
 
     def nodes(self) -> Iterator[tuple[int, "ProofTree"]]:
         """Every node with its depth below this one, in pre-order."""
@@ -159,10 +165,6 @@ class RightsBundle(_Record):
     @property
     def article(self) -> str:
         return self.primary.literal.term.args[2]  # type: ignore[return-value]
-
-    @property
-    def person(self) -> str:
-        return self.primary.literal.term.args[3]  # type: ignore[return-value]
 
     @property
     def option(self) -> str:
@@ -252,12 +254,16 @@ class _Context:
         self.kb = kb
         self.facts = facts
         self.tried = 0  # candidate clauses, matched or not; tags renames
+        self.goals = 0  # goals entered, NAF subgoals included
 
 
 def _solve_term(
     target: Term, bindings: dict, ctx: _Context, depth: int
 ) -> Iterator[tuple[dict, _Node]]:
     """Prove target, a goal already resolved through bindings."""
+    ctx.goals += 1
+    if ctx.goals > GOAL_LIMIT:
+        raise GoalLimitError(format_term(target), GOAL_LIMIT)
     for fact in ctx.facts.candidates(target):
         matched = _match_head(target, fact, bindings, 0)
         if matched is not None:
@@ -333,8 +339,9 @@ def solve(
     that atom; a variable left unbound is not in it. Results are in
     deterministic order: facts in canonical order first, then clauses in
     textual order, body literals left to right. Raises NafNonGroundError
-    if negation is reached with unbound variables and DepthLimitError past
-    ``DEPTH_LIMIT`` rule applications.
+    if negation is reached with unbound variables, DepthLimitError past
+    ``DEPTH_LIMIT`` rule applications, and GoalLimitError past ``GOAL_LIMIT``
+    goals entered.
     """
     ctx = _Context(kb, facts)
     names = sorted(goal.variables())

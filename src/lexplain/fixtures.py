@@ -4,23 +4,21 @@ outputs used by the offline demos and the test suite."""
 
 from __future__ import annotations
 
-from importlib import resources
 from pathlib import Path
 
 from .dsl import parse_facts, parse_rules
 from .kb import CaseFacts, KnowledgeBase
 
 
-def _resource(name: str):
-    return resources.files("lexplain") / "resources" / name
+_RESOURCES = Path(__file__).parent / "resources"
 
 
 def resource_text(name: str) -> str:
-    return _resource(name).read_text(encoding="utf-8")
+    return (_RESOURCES / name).read_text(encoding="utf-8")
 
 
 def resource_path(name: str) -> Path:
-    return Path(str(_resource(name)))
+    return _RESOURCES / name
 
 
 def eu_rules_text() -> str:

@@ -38,6 +38,7 @@ from lexplain.gateway import (
     MockExhaustedError,
     mock_from_dir,
 )
+from lexplain.trace import TraceDocument
 
 CFG = LlmConfig()
 
@@ -326,3 +327,9 @@ def test_write_json_rejects_unsupported_values(tmp_path, value):
     with pytest.raises(TypeError):
         write_json(tmp_path / "value.json", value)
     assert not (tmp_path / "value.json").exists()
+
+
+def test_translation_prompt_adds_a_missing_final_newline(listing1_doc):
+    cut = TraceDocument(listing1_doc.raw_text.rstrip("\n"), listing1_doc.bundle)
+    assert cut.raw_text != listing1_doc.raw_text
+    assert build_translation_prompt(cut) == build_translation_prompt(listing1_doc)

@@ -1223,3 +1223,19 @@ def test_main_returns_a_documented_code_for_any_argv(argv):
             os.chdir(cwd)
     assert status in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_NO_RESULT,
                       EXIT_GATEWAY)
+
+
+def test_explain_without_rights_is_status_3(workdir, capsys):
+    (workdir / "anna.facts").write_text(
+        "person_understands(anna, polish).\n", encoding="utf-8"
+    )
+    out = workdir / "out"
+    status = main(
+        ["explain", "--kb", str(workdir / "eu.rules"),
+         "--facts", str(workdir / "anna.facts"), "--person", "anna",
+         "--source", "directive_2010_64",
+         "--mock-dir", str(workdir / "mock"), "--out", str(out)]
+    )
+    assert status == EXIT_NO_RESULT
+    assert capsys.readouterr().err == "no rights derivable for anna\n"
+    assert not out.exists()

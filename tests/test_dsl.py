@@ -799,3 +799,9 @@ def test_parse_rules_matches_the_reference_reader(text):
     assert _rules_outcome(parse_rules, text) == _rules_outcome(
         _reference_parse_rules, text
     )
+
+
+def test_empty_title_is_rejected_with_its_line():
+    with pytest.raises(DslError) as err:
+        parse_rules("%% source: s\n%% article: a\n%% title:\n")
+    assert str(err.value) == "line 3: empty %% title"

@@ -22,6 +22,7 @@ from lexplain.engine import (
     RULE,
     DepthLimitError,
     EngineError,
+    GoalLimitError,
     NafNonGroundError,
     ProofTree,
     UnknownSourceError,
@@ -249,7 +250,7 @@ def test_derive_rights_attachments_require_matching_article(
 def test_adding_fact_never_removes_naf_free_conclusion(pl_kb, mario_facts):
     goal = Term("person_document", ("mario", "translation_needed"))
     (before,) = [t for _, t in solve(goal, pl_kb, mario_facts)]
-    assert not before.has_naf
+    assert not any(n.kind == NAF for _, n in before.nodes())
     extra = mario_facts.with_fact(Term("proceeding_event", ("mario", "hearing")))
     assert solve(goal, pl_kb, extra)
 
@@ -820,3 +821,69 @@ def test_solve_equals_the_renaming_reference_on_the_shipped_kbs(mario_facts):
         assert _outcome(solve, goal, kb, mario_facts) == _outcome(
             _ref_solve, goal, kb, mario_facts
         )
+
+
+# Left recursion whose recursive call has answers first: each level doubles
+# the answers, so the depth limit is reached only after about 2**64 of them.
+LEFT_RECURSIVE = {
+    "doubling": ("r(X) :- r(Y), q(X).\n", "r(c).\nq(a).\nq(b).\n", "r"),
+    "reachability": (
+        "reach(X) :- reach(Y), link(Y, X).\n",
+        "reach(a).\nlink(a, a).\nlink(a, b).\nlink(b, a).\nlink(b, b).\n",
+        "reach",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEFT_RECURSIVE))
+def test_left_recursion_stops_at_the_goal_limit(name):
+    rules, facts, functor = LEFT_RECURSIVE[name]
+    kb, case = parse_rules(RULES_HEADER + rules), parse_facts(facts)
+    with pytest.raises(GoalLimitError) as err:
+        solve(Term(functor, (V("G"),)), kb, case)
+    assert err.value.limit == engine.GOAL_LIMIT == 10_000
+    assert str(err.value) == f"goal limit 10000 exceeded at {err.value.goal}"
+
+
+@pytest.mark.parametrize("name", sorted(LEFT_RECURSIVE))
+def test_solve_command_exits_2_at_the_goal_limit(name, tmp_path, capsys):
+    # solve derives has_right/5, so a right of the person calls the program
+    rules, facts, functor = LEFT_RECURSIVE[name]
+    right = f"has_right(r, t, a, P, o) :- {functor}(P).\n"
+    (tmp_path / "p.rules").write_text(
+        RULES_HEADER + rules + right, encoding="utf-8"
+    )
+    (tmp_path / "p.facts").write_text(facts, encoding="utf-8")
+    status = main(["solve", "--kb", str(tmp_path / "p.rules"),
+                   "--facts", str(tmp_path / "p.facts"), "--person", "mario",
+                   "--source", "s", "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert capsys.readouterr().err.startswith("error: goal limit 10000 exceeded")
+
+
+def test_goal_limit_message_cuts_a_long_goal():
+    err = GoalLimitError("p(" + "a" * 80 + ")", 10)
+    assert str(err) == f"goal limit 10 exceeded at p({'a' * 58}... (83 chars)"
+
+
+def test_person_must_be_an_atom(eu_kb, mario_facts, tmp_path, capsys):
+    with pytest.raises(EngineError) as err:
+        derive_rights("Mario", "directive_2010_64", eu_kb, mario_facts)
+    assert str(err.value) == "person must be an atom, got 'Mario'"
+    rules = fixtures.resource_path("directive_2010_64.rules")
+    facts = fixtures.resource_path("mario.facts")
+    status = main(["solve", "--kb", str(rules), "--facts", str(facts),
+                   "--person", "Mario", "--out", str(tmp_path / "out")])
+    assert status == 2
+    assert capsys.readouterr().err == (
+        "error: person must be an atom, got 'Mario'\n"
+    )
+    assert not list((tmp_path / "out").iterdir())
+
+
+def test_rights_bundle_rejects_a_non_ground_primary(eu_kb, mario_facts):
+    (bundle,) = derive_rights("mario", "directive_2010_64", eu_kb, mario_facts)
+    primary = _fact_tree("has_right", "r", "t", "a", "mario", V("O"))
+    with pytest.raises(EngineError) as err:
+        engine.RightsBundle(bundle.source, primary)
+    assert str(err.value) == "primary proof tree is not ground"

@@ -304,3 +304,12 @@ def test_fixture_kbs_stay_inside_the_schema(eu_kb, pl_kb):
             used.add(clause.head.predicate)
             used.update(lit.term.predicate for lit in clause.body)
     assert used <= set(PREDICATE_SCHEMA)
+
+
+def test_str_writes_variables_literals_and_clauses():
+    negated = Literal(Term("p", ("a",)), negated=True)
+    x = Variable("X")
+    rule = clause(Term("q", (x,)), Literal(Term("r", (x,))), negated)
+    assert str(x) == "X"
+    assert str(negated) == "not(p(a))"
+    assert str(rule) == format_clause(rule)

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from lexplain.engine import NafNonGroundError, derive_rights, ground_oracle, solve
+from lexplain.engine import NAF, NafNonGroundError, derive_rights, ground_oracle, solve
 from lexplain.kb import Term, Variable
 from lexplain.trace import TraceNode, extract_terms, render_trace
 
@@ -119,7 +119,10 @@ def test_naf_free_conclusions_survive_fact_additions(kb_fixture, request):
         naf_free = [
             atom
             for atom in atoms
-            if any(not t.has_naf for _, t in solve(atom, kb, facts))
+            if any(
+                not any(n.kind == NAF for _, n in t.nodes())
+                for _, t in solve(atom, kb, facts)
+            )
         ]
         extra = random_fact_set(rng, max_atoms=3)
         grown = facts

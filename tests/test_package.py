@@ -30,8 +30,9 @@ EXPORTS = {
     "dsl": ("DslError", "parse_facts", "parse_rules", "serialize_facts",
             "serialize_rules"),
     "engine": ("FACT", "NAF", "RULE", "DepthLimitError", "EngineError",
-               "NafNonGroundError", "ProofTree", "RightsBundle",
-               "UnknownSourceError", "derive_rights", "ground_oracle", "solve"),
+               "GoalLimitError", "NafNonGroundError", "ProofTree",
+               "RightsBundle", "UnknownSourceError", "derive_rights",
+               "ground_oracle", "solve"),
     "evaluation": ("COMPARISON_SECTIONS", "TRANSLATION_SECTIONS",
                    "CompletenessResult", "EvaluationReport", "FormResult",
                    "GroundednessResult", "StabilityResult", "check_completeness",
@@ -198,3 +199,24 @@ def test_only_the_lazy_modules_load_dataclasses(tmp_path, code):
     )
     new = json.loads(_fresh("-c", script).stdout)
     assert not set(DATACLASS_MODULES) & set(new)
+
+
+def test_resources_are_the_files_next_to_the_package():
+    resources = Path(lexplain.__file__).parent / "resources"
+    names = sorted(
+        p.relative_to(resources).as_posix()
+        for p in resources.rglob("*") if p.is_file()
+    )
+    assert names == [
+        "comparison_prompt.txt", "directive_2010_64.rules",
+        "directive_2010_64_pl.rules", "listing1.trace", "listing2.trace",
+        "mario.facts", "mock_chain/001.txt", "mock_chain/002.txt",
+        "mock_chain/003.txt", "outputs/comparison.txt",
+        "outputs/translation_eu.txt", "outputs/translation_pl.txt",
+        "prompt_hashes.json", "translation_prompt.txt",
+    ]
+    for name in names:
+        assert fixtures.resource_path(name) == resources / name
+        assert fixtures.resource_text(name) == (resources / name).read_text(
+            encoding="utf-8"
+        )
