@@ -9,9 +9,7 @@ never the raw traces.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from datetime import datetime, timezone
 from functools import lru_cache
 from pathlib import Path
 
@@ -39,6 +37,8 @@ class TemplateIntegrityError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _load_template(name: str) -> str:
+    import hashlib  # here, not at import: lexplain evaluate reads no template
+
     text = resource_text(name)
     template = text[:-1] if text.endswith("\n") else text
     recorded = json.loads(resource_text(_HASH_FILE))[name]
@@ -149,6 +149,8 @@ def run_chain(
 ) -> ChainRun:
     """Exactly three completions: step 1 on each trace, step 2 on the
     two step-1 outputs (never on the raw traces)."""
+    from datetime import datetime, timezone
+
     created_at = datetime.now(timezone.utc).isoformat()
     steps: list[ChainStep] = []
 

@@ -123,7 +123,7 @@ def _resolve(args: argparse.Namespace) -> None:
         raise UsageError("--repetitions must be >= 1")
     for index, source_id in enumerate(args.sources):
         if source_id in args.sources[:index]:
-            raise UsageError(f"source {source_id} is named twice")
+            raise UsageError(f"source {_excerpt(source_id, str)} is named twice")
 
 
 def _load_inputs(args: argparse.Namespace):
@@ -162,8 +162,9 @@ def _derive_trace(
         # one trace per source feeds the chain; picking one would hide the rest
         articles = ", ".join(b.article for b in bundles)
         raise UsageError(
-            f"{person} has {len(bundles)} rights under {source_id} "
-            f"(primary articles: {articles}); run solve to write every trace"
+            f"{_excerpt(person, str)} has {len(bundles)} rights under "
+            f"{_excerpt(source_id, str)} (primary articles: "
+            f"{_excerpt(articles, str)}); run solve to write every trace"
         )
     return render_trace(bundles[0], kb)
 
@@ -204,7 +205,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
     kb, facts = _load_inputs(args)
     doc = _derive_trace(kb, facts, args.person, args.sources[0])
     if doc is None:
-        print(f"no rights derivable for {args.person}", file=sys.stderr)
+        print(f"no rights derivable for {_excerpt(args.person, str)}",
+              file=sys.stderr)
         return EXIT_NO_RESULT
     client = _make_client(args)
     response = client.complete(build_translation_prompt(doc), args.llm)
@@ -230,7 +232,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         doc = _derive_trace(kb, facts, args.person, source_id)
         if doc is None:
             print(
-                f"no rights derivable for {args.person} under {source_id}",
+                f"no rights derivable for {_excerpt(args.person, str)} "
+                f"under {_excerpt(source_id, str)}",
                 file=sys.stderr,
             )
             return EXIT_NO_RESULT

@@ -56,7 +56,8 @@ class NafNonGroundError(EngineError):
     def __init__(self, literal: Literal):
         self.literal = literal
         super().__init__(
-            f"negation-as-failure subgoal is not ground: {format_literal(literal)}"
+            "negation-as-failure subgoal is not ground: "
+            f"{_excerpt(format_literal(literal), str)}"
         )
 
 
@@ -64,9 +65,10 @@ class DepthLimitError(EngineError):
     """A derivation exceeded the rule-application depth limit."""
 
     def __init__(self, goal: str, limit: int):
-        self.goal = goal
-        self.limit = limit
-        super().__init__(f"depth limit {limit} exceeded while proving {goal}")
+        self.goal, self.limit = goal, limit
+        super().__init__(
+            f"depth limit {limit} exceeded while proving {_excerpt(goal, str)}"
+        )
 
 
 class GoalLimitError(EngineError):
@@ -80,7 +82,7 @@ class GoalLimitError(EngineError):
 class UnknownSourceError(EngineError):
     def __init__(self, source_id: str):
         self.source_id = source_id
-        super().__init__(f"unknown legal source: {source_id}")
+        super().__init__(f"unknown legal source: {_excerpt(source_id, str)}")
 
 
 class ProofTree(_Record):
@@ -284,17 +286,6 @@ def _solve_term(
             yield final, (target, RULE, clause.article, children)
 
 
-def _solve_literal(
-    subgoal: Term, bindings: dict, ctx: _Context, depth: int
-) -> Iterator[tuple[dict, _Node]]:
-    """Negation as failure on the resolved subgoal of a negated literal."""
-    if not subgoal.is_ground:
-        raise NafNonGroundError(Literal(subgoal, negated=True))
-    for _ in _solve_term(subgoal, {}, ctx, depth):
-        return  # subgoal provable: negation fails
-    yield bindings, (subgoal, NAF, None, ())
-
-
 def _solve_body(
     body: tuple[Literal, ...],
     values: dict,
@@ -305,13 +296,18 @@ def _solve_body(
 ) -> Iterator[tuple[dict, tuple[_Node, ...]]]:
     """Prove the body of the clause tagged tag left to right with one open
     iterator per literal entered, so a body of any length fits in a bounded
-    Python stack. Each literal is built as it is entered."""
+    Python stack. Each literal is built as it is entered, and a negated
+    one is answered there: negation as failure on its ground subgoal."""
 
     def enter(literal: Literal, bindings: dict) -> Iterator:
         goal = _instantiate(literal.term, values, tag, bindings)
-        if literal.negated:
-            return _solve_literal(goal, bindings, ctx, depth)
-        return _solve_term(goal, bindings, ctx, depth)
+        if not literal.negated:
+            return _solve_term(goal, bindings, ctx, depth)
+        if not goal.is_ground:
+            raise NafNonGroundError(Literal(goal, negated=True))
+        if next(_solve_term(goal, {}, ctx, depth), None) is not None:
+            return iter(())  # subgoal provable: negation fails
+        return iter([(bindings, (goal, NAF, None, ()))])
 
     if not body:
         yield bindings, ()
@@ -343,10 +339,10 @@ def solve(
     ``DEPTH_LIMIT`` rule applications, and GoalLimitError past ``GOAL_LIMIT``
     goals entered.
     """
-    ctx = _Context(kb, facts)
+    found = list(_solve_term(goal, {}, _Context(kb, facts), 0))
     names = sorted(goal.variables())
     results: list[tuple[dict[str, str], ProofTree]] = []
-    for bindings, node in _solve_term(goal, {}, ctx, 0):
+    for bindings, node in found:  # no tree is built before the search ends
         answer: dict[str, str] = {}
         for name in names:
             value = _walk(bindings.get(name), bindings)  # None when unbound
@@ -379,7 +375,7 @@ def derive_rights(
     """Derive every primary right of a person under one legal source,
     bundling the auxiliary rights and right properties attached to it."""
     if not is_identifier(person):
-        raise EngineError(f"person must be an atom, got {person!r}")
+        raise EngineError(f"person must be an atom, got {_excerpt(person)}")
     source = next((s for s in kb.sources if s.id == source_id), None)
     if source is None:
         raise UnknownSourceError(source_id)

@@ -16,7 +16,7 @@ from math import fsum
 from typing import Iterable, Iterator
 
 from .gateway import _checked
-from .kb import ATOM, _Record
+from .kb import ATOM, _excerpt, _Record
 from .trace import _S, _TERM_RE, TraceDocument, _canonical_spacing
 
 TRANSLATION_SECTIONS = (
@@ -127,9 +127,9 @@ def _section_heads(expected_sections: tuple[str, ...]) -> list[tuple[str, str]]:
     ]
     for index, (name, head) in enumerate(heads):
         if not head:
-            raise ValueError(f"expected section {name!r} has no header text")
+            raise ValueError(f"expected section {_excerpt(name)} has no header text")
         if head in (h for _, h in heads[:index]):
-            raise ValueError(f"expected section {name!r} repeats an earlier one")
+            raise ValueError(f"expected section {_excerpt(name)} repeats an earlier one")
     return heads
 
 

@@ -45,7 +45,7 @@ class TraceError(ValueError):
 class MissingTitleError(TraceError):
     def __init__(self, article: str):
         self.article = article
-        super().__init__(f"no display title for article {article}")
+        super().__init__(f"no display title for article {_excerpt(article, str)}")
 
 
 class TraceParseError(TraceError):

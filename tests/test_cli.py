@@ -28,6 +28,10 @@ from lexplain.cli import (
     EXIT_USAGE,
     main,
 )
+from lexplain.dsl import parse_facts, parse_rules
+from lexplain.engine import DepthLimitError, NafNonGroundError, derive_rights, solve
+from lexplain.kb import Term, Variable
+from lexplain.trace import MissingTitleError, render_trace
 
 from conftest import LONG_DSL_VALUES, LONG_KB_VALUES
 
@@ -1037,6 +1041,92 @@ def test_solve_prints_a_short_fact_or_kb_diagnostic(workdir, capsys, rules, fact
     assert main(argv) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err) < 200
+
+
+LONG = "a" * 5000
+ONE_ARTICLE = "%% source: s\n%% article: a\n%% title: T\n"
+TWO_RIGHTS = (
+    ONE_ARTICLE + "has_right(r, t, a, P, o) :- person(P).\n"
+    "%% article: b\n%% title: U\nhas_right(r, t, b, P, o) :- person(P).\n"
+)
+SOLVE_EU = ["solve", "--kb", "eu.rules", "--facts", "mario.facts"]
+
+
+def _empty_case(rules: str) -> tuple:
+    return parse_rules(ONE_ARTICLE + rules), parse_facts("")
+
+
+def _render_with_a_missing_title() -> None:
+    rules = (f"%% source: s\n%% article: {LONG}\n%% title: T\n"
+             f"has_right(r, t, {LONG}, P, o) :- person(P).\n")
+    facts = parse_facts("person(mario).\n")
+    (bundle,) = derive_rights("mario", "s", parse_rules(rules), facts)
+    render_trace(bundle, fixtures.eu_kb())
+
+
+# Each case repeats a 5,000-character value in its diagnostic: a library
+# call with the error it raises, or a command line with its exit code.
+LONG_VALUE_DIAGNOSTICS = {
+    "naf-not-ground": ({}, lambda: solve(
+        Term("p", (LONG, Variable("G"))),
+        *_empty_case("p(X, Y) :- not(r(X, Y)).\n"),
+    ), NafNonGroundError),
+    "depth-limit": ({}, lambda: solve(
+        Term("p", (LONG, Variable("G"))), *_empty_case("p(X, Y) :- p(X, Y).\n")
+    ), DepthLimitError),
+    "missing-title": ({}, _render_with_a_missing_title, MissingTitleError),
+    "solve-depth-limit": (
+        {"deep.rules": ONE_ARTICLE + f"has_right(r, t, a, P, o) :- p(P, {LONG}).\n"
+         "p(X, Y) :- p(X, Y).\n"},
+        ["solve", "--kb", "deep.rules", "--facts", "mario.facts",
+         "--person", "mario"], EXIT_DATA),
+    "person-not-an-atom": ({}, [*SOLVE_EU, "--person", "M" + LONG], EXIT_DATA),
+    "unknown-source": (
+        {}, [*SOLVE_EU, "--person", "mario", "--source", LONG], EXIT_DATA),
+    "source-twice": (
+        {}, [*SOLVE_EU, "--person", "mario", "--source", LONG, "--source", LONG],
+        EXIT_USAGE),
+    "section-twice": (
+        {}, ["evaluate", "out.txt", "t.trace", "--sections", LONG, LONG],
+        EXIT_USAGE),
+    "section-without-header": (
+        {}, ["evaluate", "out.txt", "t.trace", "--sections", ":" * 5000],
+        EXIT_USAGE),
+    "explain-no-rights": (
+        {}, ["explain", "--kb", "eu.rules", "--facts", "mario.facts",
+             "--person", LONG, "--source", "directive_2010_64",
+             "--mock-dir", "mock"], EXIT_NO_RESULT),
+    "compare-no-rights": (
+        {}, ["compare", "--kb", "eu.rules", "--kb", "pl.rules", "--facts",
+             "mario.facts", "--person", LONG, "--source", "directive_2010_64",
+             "--source", "directive_2010_64_pl", "--mock-dir", "mock"],
+        EXIT_NO_RESULT),
+    "several-rights": (
+        {"two.rules": TWO_RIGHTS, "long.facts": f"person({LONG}).\n"},
+        ["explain", "--kb", "two.rules", "--facts", "long.facts",
+         "--person", LONG, "--source", "s", "--mock-dir", "mock"], EXIT_USAGE),
+}
+
+
+@pytest.mark.parametrize(
+    "files, run, expected",
+    LONG_VALUE_DIAGNOSTICS.values(),
+    ids=LONG_VALUE_DIAGNOSTICS,
+)
+def test_a_long_value_gets_a_short_diagnostic(
+    workdir, monkeypatch, capsys, files, run, expected
+):
+    monkeypatch.chdir(workdir)
+    for name, text in files.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    if callable(run):
+        with pytest.raises(expected) as err:
+            run()
+        message = str(err.value)
+    else:
+        assert main(run) == expected
+        message = capsys.readouterr().err
+    assert message and len(message) < 300
 
 
 def test_solve_rejects_a_tab_in_a_title(tmp_path, capsys):

@@ -861,6 +861,31 @@ def test_solve_command_exits_2_at_the_goal_limit(name, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: goal limit 10000 exceeded")
 
 
+# Searches that end in an error after finding answers (the first two) or
+# before (the last): solve returns no proof of them, so it builds none.
+FAILED_SEARCHES = {
+    "goal-limit": (*LEFT_RECURSIVE["doubling"], GoalLimitError),
+    "depth-limit": ("p(X) :- q(X).\np(X) :- p(X).\n", "q(a).\n", "p",
+                    DepthLimitError),
+    "naf-not-ground": ("p(X) :- q(X).\np(X) :- not(r(X)).\n", "q(a).\n", "p",
+                       NafNonGroundError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILED_SEARCHES))
+def test_a_failed_search_builds_no_proof_tree(monkeypatch, name):
+    rules, facts, functor, error = FAILED_SEARCHES[name]
+    kb, case = parse_rules(RULES_HEADER + rules), parse_facts(facts)
+    built = []
+    build = engine._build_tree
+    monkeypatch.setattr(
+        engine, "_build_tree", lambda *args: built.append(1) or build(*args)
+    )
+    with pytest.raises(error):
+        solve(Term(functor, (V("G"),)), kb, case)
+    assert len(built) == 0
+
+
 def test_goal_limit_message_cuts_a_long_goal():
     err = GoalLimitError("p(" + "a" * 80 + ")", 10)
     assert str(err) == f"goal limit 10 exceeded at p({'a' * 58}... (83 chars)"

@@ -132,15 +132,15 @@ def test_an_unknown_name_is_an_attribute_error():
         (_main(["solve", "--kb", RULES[0], "--kb", RULES[1], "--facts", FACTS,
                 "--person", "mario", "--out", "{out}"]), []),
         ("from lexplain import evaluate", ["lexplain.evaluation"]),
-        ("from lexplain import run_chain",
-         ["lexplain.chain", "hashlib", "datetime"]),
+        ("from lexplain import run_chain", ["lexplain.chain"]),
         (_main(["compare", "--kb", RULES[0], "--kb", RULES[1], "--facts", FACTS,
                 "--person", "mario", "--source", "directive_2010_64",
                 "--source", "directive_2010_64_pl", "--mock-dir",
                 str(fixtures.resource_path("mock_chain")), "--out", "{out}"]),
          list(DEFERRED)),
         (_main(["evaluate", str(fixtures.resource_path("outputs/translation_eu.txt")),
-                str(fixtures.resource_path("listing1.trace"))]), list(DEFERRED)),
+                str(fixtures.resource_path("listing1.trace"))]),
+         ["lexplain.chain", "lexplain.evaluation"]),
     ],
     ids=["import", "solve", "evaluate", "run_chain", "compare", "evaluate-command"],
 )
