@@ -19,6 +19,7 @@ from .gateway import (
     GatewayError,
     LlmConfig,
     _checked,
+    _json_fields,
 )
 from .kb import _Record
 from .trace import TraceDocument
@@ -202,17 +203,9 @@ def run_to_json(run: ChainRun) -> dict:
 
 
 # The fields of each object in a run record, with the JSON types of each.
-_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
 _RUN_FIELDS = {
     "run_index": (int,), "config": (dict,), "steps": (list,), "created_at": (str,)
 }
-
-
-def _json_fields(cls) -> dict:
-    types = cls.__init__.__annotations__
-    return {name: _JSON_TYPES[types[name]] for name in cls._fields}
-
-
 _STEP_FIELDS = _json_fields(ChainStep)
 _CONFIG_FIELDS = _json_fields(LlmConfig)
 

@@ -197,7 +197,7 @@ def _build_tree(node: _Node, bindings: _Bindings) -> ProofTree:
     term, kind, article, children = node
     if kind == RULE:
         term = _resolve_term(term, bindings)
-    built = tuple([_build_tree(c, bindings) for c in children])
+    built = tuple(map(_build_tree, children, itertools.repeat(bindings)))
     return ProofTree(Literal(term, kind == NAF), kind, article, built)
 
 
@@ -236,21 +236,6 @@ def _match_head(
     return values, {**bindings, **local} if local else bindings
 
 
-def _instantiate(term: Term, values: dict, tag: int, bindings: dict) -> Term:
-    """A body term of the clause tagged tag, resolved through bindings. A
-    clause variable the head left unbound is the fresh ``_<tag>_<Name>``,
-    made and stored in values when the search first meets it."""
-    args = []
-    for a in term.args:
-        if isinstance(a, Variable):
-            value = values.get(a.name)
-            if value is None:
-                value = values[a.name] = _trusted_variable(f"_{tag}_{a.name}")
-            a = _walk(value, bindings)
-        args.append(a)
-    return _trusted_term(term.functor, tuple(args))
-
-
 class _Context:
     def __init__(self, kb: KnowledgeBase, facts: CaseFacts):
         self.kb = kb
@@ -281,49 +266,53 @@ def _solve_term(
             raise DepthLimitError(
                 format_term(_resolve_term(target, unified)), DEPTH_LIMIT
             )
-        body = _solve_body(clause.body, values, tag, unified, ctx, depth + 1)
-        for final, children in body:
-            yield final, (target, RULE, clause.article, children)
+        body = clause.body
+        if not body:
+            yield unified, (target, RULE, clause.article, ())
+            continue
+        # one open iterator per body literal entered, each read by a for
+        # loop, so a body of any length fits in a bounded Python stack and a
+        # proof level costs one frame (next() would cost two on Python 3.10)
+        iterators = [_enter(body[0], values, tag, unified, ctx, depth + 1)]
+        proofs: list[_Node] = []  # one per literal before the last iterator's
+        while iterators:
+            for final, node in iterators[-1]:
+                del proofs[len(iterators) - 1 :]
+                if len(iterators) == len(body):
+                    children = (*proofs, node)
+                    yield final, (target, RULE, clause.article, children)
+                else:
+                    proofs.append(node)
+                    iterators.append(_enter(body[len(iterators)], values, tag,
+                                            final, ctx, depth + 1))
+                    break
+            else:
+                iterators.pop()
 
 
-def _solve_body(
-    body: tuple[Literal, ...],
-    values: dict,
-    tag: int,
-    bindings: dict,
-    ctx: _Context,
-    depth: int,
-) -> Iterator[tuple[dict, tuple[_Node, ...]]]:
-    """Prove the body of the clause tagged tag left to right with one open
-    iterator per literal entered, so a body of any length fits in a bounded
-    Python stack. Each literal is built as it is entered, and a negated
-    one is answered there: negation as failure on its ground subgoal."""
-
-    def enter(literal: Literal, bindings: dict) -> Iterator:
-        goal = _instantiate(literal.term, values, tag, bindings)
-        if not literal.negated:
-            return _solve_term(goal, bindings, ctx, depth)
-        if not goal.is_ground:
-            raise NafNonGroundError(Literal(goal, negated=True))
-        if next(_solve_term(goal, {}, ctx, depth), None) is not None:
-            return iter(())  # subgoal provable: negation fails
-        return iter([(bindings, (goal, NAF, None, ()))])
-
-    if not body:
-        yield bindings, ()
-        return
-    iterators = [enter(body[0], bindings)]
-    proofs: list[_Node] = []  # one per literal before the last iterator's
-    while iterators:
-        step = next(iterators[-1], None)
-        del proofs[len(iterators) - 1 :]
-        if step is None:
-            iterators.pop()
-        elif len(iterators) == len(body):
-            yield step[0], (*proofs, step[1])
-        else:
-            proofs.append(step[1])
-            iterators.append(enter(body[len(iterators)], step[0]))
+def _enter(literal: Literal, values: dict, tag: int, bindings: dict,
+           ctx: _Context, depth: int) -> Iterator[tuple[dict, _Node]]:
+    """The answers to a body literal of the clause tagged tag, built as the
+    search enters it. A clause variable the head left unbound is the fresh
+    ``_<tag>_<Name>``, made and stored in values when first met, and the
+    goal is resolved through bindings. A negated literal is answered here:
+    negation as failure on its ground subgoal."""
+    args = []
+    for a in literal.term.args:
+        if isinstance(a, Variable):
+            value = values.get(a.name)
+            if value is None:
+                value = values[a.name] = _trusted_variable(f"_{tag}_{a.name}")
+            a = _walk(value, bindings)
+        args.append(a)
+    goal = _trusted_term(literal.term.functor, tuple(args))
+    if not literal.negated:
+        return _solve_term(goal, bindings, ctx, depth)
+    if not goal.is_ground:
+        raise NafNonGroundError(Literal(goal, negated=True))
+    if next(_solve_term(goal, {}, ctx, depth), None) is not None:
+        return iter(())  # subgoal provable: negation fails
+    return iter([(bindings, (goal, NAF, None, ()))])
 
 
 def solve(

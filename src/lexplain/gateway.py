@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
-from .kb import _Record
+from .kb import _Record, _excerpt
 
 if TYPE_CHECKING:
     import requests
@@ -73,6 +73,7 @@ class LlmConfig(_Record):
         object.__setattr__(self, "max_tokens", max_tokens)
         object.__setattr__(self, "base_url", base_url)
         object.__setattr__(self, "timeout", timeout)
+        _checked(vars(self), _json_fields(LlmConfig), "config")
         if not model_id:
             raise ValueError("model_id must be nonempty")
         if not 0.0 <= temperature <= 2.0:
@@ -107,6 +108,15 @@ class CompletionClient(Protocol):
         ...
 
 
+# The JSON value types a record field of each annotation accepts.
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
+
+
+def _json_fields(cls) -> dict:
+    types = cls.__init__.__annotations__
+    return {name: _JSON_TYPES[types[name]] for name in cls._fields}
+
+
 def _checked(data, types_by_key: dict, what: str) -> dict:
     """data, once it is an object with exactly these fields, each of one of
     its JSON types: a tuple of Python types, or [str] for a list of strings."""
@@ -114,7 +124,7 @@ def _checked(data, types_by_key: dict, what: str) -> dict:
         raise ValueError(f"{what} must be an object, not {type(data).__name__}")
     for key in data:
         if key not in types_by_key:
-            raise ValueError(f"{what} has an unknown field {key!r}")
+            raise ValueError(f"{what} has an unknown field {_excerpt(key)}")
     for key, types in types_by_key.items():
         if key not in data:
             raise ValueError(f"{what} has no field {key!r}")

@@ -1105,6 +1105,9 @@ LONG_VALUE_DIAGNOSTICS = {
         {"two.rules": TWO_RIGHTS, "long.facts": f"person({LONG}).\n"},
         ["explain", "--kb", "two.rules", "--facts", "long.facts",
          "--person", LONG, "--source", "s", "--mock-dir", "mock"], EXIT_USAGE),
+    "config-unknown-key": (
+        {"c.json": json.dumps({LONG: 1})}, ["solve", "--config", "c.json"],
+        EXIT_USAGE),
 }
 
 

@@ -450,6 +450,21 @@ def test_long_rule_body_is_derived(tmp_path):
     assert main(argv) == 0
 
 
+def test_a_chain_of_600_rule_applications_is_proved(monkeypatch):
+    # One Python frame per proof level in the search and in the builder, so
+    # a chain deeper than half the recursion limit fits once the depth
+    # limit is lifted.
+    monkeypatch.setattr(engine, "DEPTH_LIMIT", 10**6)
+    kb = parse_rules(
+        RULES_HEADER + "reach(X, Y) :- edge(X, Y).\n"
+        "reach(X, Z) :- edge(X, Y), reach(Y, Z).\n"
+    )
+    facts = parse_facts("".join(f"edge(n{i}, n{i + 1}).\n" for i in range(600)))
+    results = solve(Term("reach", ("n0", "n600")), kb, facts)
+    assert len(results) == 1
+    assert max(depth for depth, _ in results[0][1].nodes()) == 600
+
+
 def _fact_tree(functor: str, *args) -> ProofTree:
     return ProofTree(Literal(Term(functor, args)), FACT, None)
 

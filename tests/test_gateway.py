@@ -48,6 +48,13 @@ def test_config_defaults_follow_documented_assumptions():
         {"timeout": float("nan")},
         {"timeout": float("inf")},
         {"timeout": 1e10},
+        {"max_tokens": 2.5},
+        {"max_tokens": True},
+        {"temperature": True},
+        {"temperature": "x"},
+        {"timeout": True},
+        {"timeout": "60"},
+        {"model_id": 7},
     ],
 )
 def test_config_validation(kwargs):
